@@ -1,8 +1,7 @@
 """cyclores: exact arithmetic and residue-symbol identities in prime
 cyclotomic fields.
 
-The package computes, without ever leaving exact arithmetic (apart from
-the certified-precision relative class number):
+The package computes, without ever leaving exact arithmetic:
 
 * the ring Z[zeta_p] on the power basis, with Galois action and norms;
 * splitting of rational primes and residue-field reduction;
@@ -66,6 +65,7 @@ from .powsym import (
     NotCoprimeError,
     SymbolExp,
     UnsupportedIdealError,
+    residue_symbol,
     symbol,
     symbol_vector,
     zeta_symbol,
@@ -73,10 +73,9 @@ from .powsym import (
 from .regulab import (
     BigRational,
     IrregularPair,
-    PrecisionError,
     VandiverWitness,
     bernoulli,
-    bernoulli_akiyama_tanigawa,
+    eigencomponent_symbol,
     h_minus,
     irregular_pairs,
     vandiver_witness,

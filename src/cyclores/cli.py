@@ -23,6 +23,7 @@ from .cycunits import (
 from .cycint import coeffs_to_json, cyc_mul, cyc_new, cyc_one, galois, norm
 from .fltharness import (
     _SIGN_VALUE,
+    ScanRecord,
     conjugate_symmetry_report,
     furtwangler_report,
     record_from_json,
@@ -87,7 +88,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("hminus", help="relative class number h^-")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--precision", type=int, default=None)
 
     sp = sub.add_parser("vandiver", help="one-sided eigencomponent witness search")
     sp.add_argument("--p", type=int, required=True)
@@ -193,7 +193,7 @@ def _cmd_irregular(args) -> int:
 
 def _cmd_hminus(args) -> int:
     p = _require_prime(args.p, "p")
-    value = h_minus(p, precision=args.precision)
+    value = h_minus(p)
     _emit({"p": p, "h_minus": str(value)})
     return 0
 
@@ -244,46 +244,67 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _read_records(path: str) -> list[tuple[dict, ScanRecord | None]]:
+    """Parse a JSON-lines records file completely, before anything is
+    emitted: (line data, record), or (report line, None) for a partial
+    scan.  Unreadable or malformed input is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    entries = []
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+            if not isinstance(data, dict):
+                raise TypeError("a record must be a JSON object")
+            if data.get("partial"):
+                entries.append(({"skipped_partial": True,
+                                 "unfactored_cofactor": data["unfactored_cofactor"]}, None))
+            else:
+                entries.append((data, record_from_json(data)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"{path}:{number}: bad record: {exc}") from exc
+    return entries
+
+
 def _cmd_verify(args) -> int:
     failures = 0
     count = 0
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if data.get("partial"):
-                _emit({"skipped_partial": True,
-                       "unfactored_cofactor": data["unfactored_cofactor"]})
-                continue
-            rec = record_from_json(data)
-            count += 1
-            cong = verify_congruences(rec)
-            symid = verify_symbol_identities(rec)
-            furt = furtwangler_report(rec)
-            conj = conjugate_symmetry_report(rec)
-            ok = cong.ok and symid.ok and furt.consistency_ok
-            if not ok:
-                failures += 1
-            _emit({
-                "q": rec.q,
-                "x": rec.x,
-                "y": rec.y,
-                "sign": data["sign"],
-                "congruences_ok": cong.ok,
-                "congruence_failures": [k for k, v in cong.per_k.items() if not v],
-                "symbol_identities_ok": symid.ok,
-                "symbol_identity_failures": [
-                    k for k, v in symid.per_k.items() if v == "fail"
-                ],
-                "skipped": [k for k, v in symid.per_k.items() if v == "skipped"],
-                "specialization_triggered": symid.specialization is not None,
-                "zeta_consistency_ok": furt.consistency_ok,
-                "p2_divides_q_minus_1": furt.p2_divides,
-                "display_holds": furt.display_holds,
-                "conjugate_symmetric": all(v for v in conj.values() if v is not None),
-            })
+    for data, rec in _read_records(args.infile):
+        if rec is None:
+            _emit(data)
+            continue
+        count += 1
+        cong = verify_congruences(rec)
+        symid = verify_symbol_identities(rec)
+        furt = furtwangler_report(rec)
+        conj = conjugate_symmetry_report(rec)
+        ok = cong.ok and symid.ok and furt.consistency_ok
+        if not ok:
+            failures += 1
+        _emit({
+            "q": rec.q,
+            "x": rec.x,
+            "y": rec.y,
+            "sign": data["sign"],
+            "congruences_ok": cong.ok,
+            "congruence_failures": [k for k, v in cong.per_k.items() if not v],
+            "symbol_identities_ok": symid.ok,
+            "symbol_identity_failures": [
+                k for k, v in symid.per_k.items() if v == "fail"
+            ],
+            "skipped": [k for k, v in symid.per_k.items() if v == "skipped"],
+            "specialization_triggered": symid.specialization is not None,
+            "zeta_consistency_ok": furt.consistency_ok,
+            "p2_divides_q_minus_1": furt.p2_divides,
+            "display_holds": furt.display_holds,
+            "conjugate_symmetric": all(v for v in conj.values() if v is not None),
+        })
     _emit({"records": count, "failures": failures})
     return 0 if failures == 0 else 2
 

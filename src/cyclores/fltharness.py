@@ -169,9 +169,10 @@ def scan(
     """Factor (x^p + sign*y^p)/(x + sign*y) and record every located prime.
 
     Trial division runs over q = 1 (mod p) up to trial_bound (all other
-    prime factors besides p itself are impossible for coprime x, y); the
-    remaining cofactor gets a primality test and is either recorded as a
-    final prime hit or reported unfactored.  Every hit is checked to
+    prime factors besides p itself are impossible for coprime x, y).  A
+    remaining cofactor of at most 63 bits gets a primality test and is
+    recorded as a final prime hit if prime; any other cofactor is
+    reported unfactored without a test.  Every hit is checked to
     satisfy q = 1 (mod p) and to own a degree-1 ideal dividing
     x*zeta + sign*y.
     """
@@ -197,11 +198,8 @@ def scan(
     found, cofactor = _trial_factors(p, rem, trial_bound)
     unfactored = None
     if cofactor > 1:
-        if is_prime(cofactor):
-            if cofactor.bit_length() <= 63:
-                found.append(cofactor)
-            else:
-                unfactored = cofactor
+        if cofactor.bit_length() <= 63 and is_prime(cofactor):
+            found.append(cofactor)
         else:
             unfactored = cofactor
     found.sort()

@@ -18,13 +18,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cycint import ContextMismatchError, CycInt, InternalError
-from .resfield import PrimeIdealRep, residue
+from .resfield import PrimeIdealRep, ResElt, residue
 
 __all__ = [
     "SymbolExp",
     "NotCoprimeError",
     "UnsupportedIdealError",
     "symbol",
+    "residue_symbol",
     "zeta_symbol",
     "symbol_vector",
 ]
@@ -52,15 +53,17 @@ def symbol(a: CycInt, ideal: PrimeIdealRep) -> SymbolExp:
     """Exponent e with a^((q^f-1)/p) = w^e modulo the ideal."""
     if a.ctx != ideal.ctx:
         raise ContextMismatchError("element and ideal live in different fields")
+    return residue_symbol(residue(a, ideal))
+
+
+def residue_symbol(r0: ResElt) -> SymbolExp:
+    """Symbol exponent of any element whose residue at r0.ideal is r0."""
+    ideal = r0.ideal
     _check_supported(ideal)
-    r0 = residue(a, ideal)
     if r0.is_zero():
         raise NotCoprimeError("element is not coprime to the ideal")
     r = (r0**ideal.euler_exponent).value
-    if ideal.f == 1:
-        e = ideal._dlog.get(r[0])
-    else:
-        e = ideal._dlog.get(r)
+    e = ideal._dlog.get(r[0] if ideal.f == 1 else r)
     if e is None:
         raise InternalError("symbol value is not a power of w; broken ideal data")
     return e
@@ -73,18 +76,10 @@ def zeta_symbol(ideal: PrimeIdealRep) -> SymbolExp:
 
 
 def symbol_vector(items: Sequence[CycInt], ideal: PrimeIdealRep) -> list[SymbolExp]:
-    """Elementwise symbols, sharing the precomputed exponent (q^f-1)/p."""
+    """Elementwise symbols; every item is checked for coprimality first."""
     _check_supported(ideal)
-    exponent = ideal.euler_exponent
     residues = [residue(a, ideal) for a in items]
     bad = [i for i, r in enumerate(residues) if r.is_zero()]
     if bad:
         raise NotCoprimeError(f"items at indices {bad} are not coprime to the ideal")
-    out = []
-    for r0 in residues:
-        r = (r0**exponent).value
-        e = ideal._dlog.get(r[0] if ideal.f == 1 else r)
-        if e is None:
-            raise InternalError("symbol value is not a power of w; broken ideal data")
-        out.append(e)
-    return out
+    return [residue_symbol(r0) for r0 in residues]

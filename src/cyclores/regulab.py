@@ -1,9 +1,9 @@
 """Regularity data for prime cyclotomic fields.
 
-Exact Bernoulli numbers (two independent algorithms), irregular pairs,
-the relative class number h^- by the analytic class number formula, and
-one-sided witnesses that a cyclotomic-unit eigencomponent is not a p-th
-power.
+Exact Bernoulli numbers, irregular pairs from the Bernoulli numbers
+modulo p, the relative class number h^- from an exact multi-modular
+evaluation of the analytic class number formula, and one-sided
+witnesses that a cyclotomic-unit eigencomponent is not a p-th power.
 
 The witness search is one-sided by design: a nonzero residue symbol of
 the eigencomponent proves it is not a p-th power in the field, while an
@@ -17,34 +17,27 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
-from mpmath import mp
-
-from .cycint import FieldCtx, cyc_new, field_ctx, galois
-from .cycunits import unit_minus
-from .ntheory import is_prime, primitive_root
-from .powsym import symbol
-from .resfield import split_prime
+from .cycint import FieldCtx, InternalError, field_ctx
+from .ntheory import factorize, is_prime, primitive_root
+from .powsym import residue_symbol
+from .resfield import PrimeIdealRep, ResElt, split_prime
 
 __all__ = [
     "BigRational",
     "IrregularPair",
     "VandiverWitness",
-    "PrecisionError",
     "bernoulli",
-    "bernoulli_akiyama_tanigawa",
     "irregular_pairs",
     "h_minus",
     "vandiver_witness",
+    "eigencomponent_symbol",
 ]
 
 #: Exact rationals are plain :class:`fractions.Fraction` values
 #: (reduced, positive denominator — exactly the invariants needed).
 BigRational = Fraction
-
-
-class PrecisionError(RuntimeError):
-    """h^- evaluation hit the precision cap without a certified rounding."""
 
 
 @dataclass(frozen=True)
@@ -87,106 +80,134 @@ def bernoulli(n: int) -> Fraction:
     return _bern[n]
 
 
-def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
-    """B_n by the Akiyama-Tanigawa triangle; independent of `bernoulli`.
+def _bernoulli_mod_p(p: int) -> list[int]:
+    """B_n mod p for 0 <= n <= p-3, all p-integral there (von Staudt-Clausen).
 
-    The raw triangle produces the B_1 = +1/2 convention; the sign is
-    flipped at n = 1 so both routines agree everywhere.
+    Inverts (e^x - 1)/x = sum_i x^i/(i+1)! as a power series over F_p;
+    the inverse x/(e^x - 1) has coefficients B_n/n!.
     """
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    if n == 1:
-        return Fraction(-1, 2)
-    row = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
+    size = p - 2
+    fact = [1] * (size + 1)
+    for i in range(1, size + 1):
+        fact[i] = fact[i - 1] * i % p
+    series = [pow(fact[i + 1], -1, p) for i in range(size)]
+    inverse = [1]
+    for n in range(1, size):
+        inverse.append(-sum(map(mul, series[1 : n + 1], reversed(inverse))) % p)
+    return [c * fact[n] % p for n, c in enumerate(inverse)]
 
 
 def irregular_pairs(p: int) -> list[IrregularPair]:
     """All even k in [2, p-3] with p | numerator(B_k); empty iff p regular."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
-    return [
-        IrregularPair(p, k)
-        for k in range(2, p - 2, 2)
-        if bernoulli(k).numerator % p == 0
-    ]
+    bern = _bernoulli_mod_p(p)
+    return [IrregularPair(p, k) for k in range(2, p - 2, 2) if bern[k] == 0]
 
 
-_H_MINUS_PREC_CAP = 1 << 16
+def h_minus(p: int) -> int:
+    """Relative class number h^- of the p-th cyclotomic field, exactly.
 
-
-def h_minus(p: int, precision: int | None = None) -> int:
-    """Relative class number h^- of the p-th cyclotomic field.
-
-    Evaluates 2p * prod over odd characters chi of (-B_{1,chi}/2) with
-    arbitrary-precision complex arithmetic, certifying that the
-    accumulated error bound is below 0.25 before rounding; on failure
-    the working precision doubles, up to a hard cap.
+    With m = (p-1)/2, g the least primitive root and
+    G(T) = sum_{t<m} (2*(g^t mod p) - p) T^t, the analytic class number
+    formula h^- = 2p * prod over odd characters chi of (-B_{1,chi}/2)
+    reads h^- = 2p * (-1)^m * P / (2p)^m with the rational integer
+    P = prod_{j odd} G(omega^j), omega a primitive (p-1)-th root of unity
+    (Washington, Introduction to Cyclotomic Fields, Thm 4.17).  P is
+    computed modulo word primes l = 1 (mod p-1) and combined by CRT until
+    the modulus exceeds twice the bound (sum |c_t|)^m on |P|.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
-    if p == 3:
-        return 1
-    prec = precision if precision else 128
-    while prec <= _H_MINUS_PREC_CAP:
-        value = _h_minus_at(p, prec)
-        if value is not None:
-            return value
-        prec *= 2
-    raise PrecisionError(f"h^-({p}) did not certify below precision cap")
-
-
-def _h_minus_at(p: int, prec: int) -> int | None:
     n = p - 1
+    m = n // 2
     g = primitive_root(p)
-    # walk the group as powers of g: chi_j(g^t) = omega^(jt), odd chi <=> odd j
-    a_of_t = [1] * n
-    for t in range(1, n):
-        a_of_t[t] = a_of_t[t - 1] * g % p
-    with mp.workprec(prec):
-        omega = [mp.expjpi(mp.mpf(2 * m) / n) for m in range(n)]
-        eps = mp.mpf(2) ** (1 - prec)
-        term_err = 2 * p * p * eps  # crude bound: p^2-size sums of unit terms
-        prod = mp.mpc(1)
-        rel = mp.mpf(0)
-        for j in range(1, n, 2):
-            s = mp.mpc(0)
-            for t in range(n):
-                s += a_of_t[t] * omega[j * t % n]
-            term = -s / (2 * p)
-            mag = abs(term)
-            if mag < 16 * term_err:
-                return None
-            rel += term_err / mag
-            prod *= term
-        if rel > mp.mpf(1) / 16:
-            return None
-        h = 2 * p * prod
-        real = mp.re(h)
-        bound = abs(h) * rel * 2 + abs(mp.im(h))
-        nearest = mp.nint(real)
-        if bound >= mp.mpf(1) / 4 or abs(real - nearest) > bound:
-            return None
-        return int(nearest)
+    coeffs = []
+    a = 1
+    for _ in range(m):
+        coeffs.append(2 * a - p)
+        a = a * g % p
+    bound = 2 * sum(map(abs, coeffs)) ** m
+    n_factors = tuple(factorize(n))
+    value, modulus = 0, 1
+    ell = ((1 << 62) - 2) // n * n + 1
+    while modulus <= bound:
+        ell -= n
+        if not is_prime(ell):
+            continue
+        r = _odd_character_product(coeffs, n, ell, n_factors)
+        # Garner step: keep value = P mod modulus, 0 <= value < modulus
+        t = (r - value) * pow(modulus % ell, -1, ell) % ell
+        value += modulus * t
+        modulus *= ell
+    if value > modulus // 2:
+        value -= modulus
+    h, rem = divmod(2 * p * (-1) ** m * value, (2 * p) ** m)
+    if rem or h <= 0:
+        raise InternalError(f"h^-({p}) evaluation is not a positive integer")
+    return h
+
+
+def _odd_character_product(
+    coeffs: list[int], n: int, ell: int, n_factors: tuple[int, ...]
+) -> int:
+    """prod_{k<m} G(omega^(2k+1)) mod ell, omega of order n in F_ell.
+
+    Chirp-z (Bluestein): 2kt = k^2 + t^2 - (k-t)^2 turns the m values
+    into omega^(k^2) * C[k+m-1], C the convolution of
+    A_t = c_t omega^(t^2+t) with B_d = omega^(-(d-m+1)^2); the chirps are
+    built incrementally and C is one Kronecker-packed integer product.
+    """
+    m = len(coeffs)
+    omega = _root_of_unity(n, ell, n_factors)
+    omega2 = omega * omega % ell
+    chirp_a, step = [], omega2  # omega^(t^2+t); ratio omega^(2t+2)
+    cur = 1
+    for c in coeffs:
+        chirp_a.append(c * cur % ell)
+        cur = cur * step % ell
+        step = step * omega2 % ell
+    inv_omega = pow(omega, -1, ell)
+    inv_omega2 = inv_omega * inv_omega % ell
+    chirp_b, step = [], inv_omega  # omega^(-s^2); ratio omega^(-2s-1)
+    cur = 1
+    for _ in range(m):
+        chirp_b.append(cur)
+        cur = cur * step % ell
+        step = step * inv_omega2 % ell
+    chirp_b = chirp_b[:0:-1] + chirp_b
+    # every convolution coefficient is below m * ell^2 < 256^width
+    width = (2 * ell.bit_length() + m.bit_length() + 7) // 8
+    conv = (_pack(chirp_a, width) * _pack(chirp_b, width)).to_bytes(
+        width * (3 * m - 2), "little"
+    )
+    total = pow(omega, (m - 1) * m * (2 * m - 1) // 6 % n, ell)
+    for j in range(m - 1, 2 * m - 1):
+        total = total * int.from_bytes(conv[j * width : (j + 1) * width], "little") % ell
+    return total
+
+
+def _pack(values: list[int], width: int) -> int:
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _root_of_unity(n: int, ell: int, n_factors: tuple[int, ...]) -> int:
+    """An element of multiplicative order exactly n in F_ell, n | ell - 1."""
+    cofactor = (ell - 1) // n
+    for u in range(2, ell):
+        w = pow(u, cofactor, ell)
+        if all(pow(w, n // r, ell) != 1 for r in n_factors):
+            return w
+    raise InternalError(f"no element of order {n} modulo {ell}")
 
 
 def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | None:
     """Search the first q_candidates primes q = 1 mod p for a witness.
 
-    Fixes g = smallest primitive root mod p and the exponent vector
-    n_a = a^(-k) mod p (representatives in [0, p)); the eigencomponent
-    is prod_a s_a(u)^(n_a) for u the index-g minus-family unit, and its
-    symbol exponent is accumulated term by term in the residue field —
-    the power product itself is never expanded in Z[zeta].  Changing the
-    representatives n_a alters e only by p-th-power contributions, so
-    whether e vanishes does not depend on that choice.
-
-    Returns the first (q, ideal) certificate with e != 0, or None if
-    every candidate yields 0 (inconclusive).
+    Tries every degree-1 ideal above each candidate q in canonical order
+    with :func:`eigencomponent_symbol`.  Returns the first (q, ideal)
+    certificate with e != 0, or None if every candidate yields 0
+    (inconclusive).
     """
     pairs = {pair.k for pair in irregular_pairs(p)}
     if k not in pairs:
@@ -194,10 +215,6 @@ def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | Non
     if q_candidates < 1:
         raise ValueError("q_candidates must be >= 1")
     ctx = field_ctx(p)
-    g = primitive_root(p)
-    u = unit_minus(ctx, g)
-    conjugates = {a: galois(u, a) for a in range(1, p)}
-    exps = {a: pow(pow(a, k, p), -1, p) for a in range(1, p)}
     seen = 0
     m = 2
     while seen < q_candidates:
@@ -207,25 +224,32 @@ def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | Non
             continue
         seen += 1
         for ideal in split_prime(ctx, q):
-            e = sum(exps[a] * symbol(conjugates[a], ideal) for a in range(1, p)) % p
+            e = eigencomponent_symbol(ctx, k, ideal)
             if e:
                 return VandiverWitness(IrregularPair(p, k), q, ideal.w, e)
     return None
 
 
-def eigencomponent_symbol(ctx: FieldCtx, k: int, ideal) -> int:
+def eigencomponent_symbol(ctx: FieldCtx, k: int, ideal: PrimeIdealRep) -> int:
     """Symbol exponent of the k-eigencomponent unit at the given ideal.
 
-    Same accumulation as the witness search, exposed so certificates can
-    be re-checked against any ideal.
+    Fixes g = smallest primitive root mod p, u = unit_minus(g) and the
+    exponent vector n_a = a^(-k) mod p (representatives in [0, p)); the
+    eigencomponent is prod_a sigma_a(u)^(n_a), and its symbol exponent is
+    sum_a n_a * symbol(sigma_a(u)) mod p.  The power product is never
+    expanded in Z[zeta], and neither are the conjugates: the residue of
+    sigma_a(u) is u evaluated at w^a, where
+    u = zeta^shift * (1 + zeta + ... + zeta^(g-1)), shift = (1-g)/2 mod p.
+    Changing the representatives n_a alters e only by p-th-power
+    contributions, so whether e vanishes does not depend on that choice.
     """
-    p = ctx.p
+    p, q = ctx.p, ideal.q
     g = primitive_root(p)
-    u = unit_minus(ctx, g)
-    return (
-        sum(
-            pow(pow(a, k, p), -1, p) * symbol(galois(u, a), ideal)
-            for a in range(1, p)
-        )
-        % p
-    )
+    shift = (1 - g) * ctx.inv2 % p
+    points = ideal.w_powers if ideal.f > 1 else [(v,) for v in ideal.w_powers]
+    total = 0
+    for a in range(1, p):
+        terms = (points[a * (shift + i) % p] for i in range(g))
+        value = tuple(sum(col) % q for col in zip(*terms))
+        total += pow(pow(a, k, p), -1, p) * residue_symbol(ResElt(ideal, value))
+    return total % p

@@ -4,18 +4,71 @@ import pytest
 
 from cyclores.cycint import cyc_mul, cyc_one, field_ctx, galois
 from cyclores.cycunits import unit_minus
-from cyclores.ntheory import is_prime, primitive_root
+from cyclores.ntheory import factorize, is_prime, primes_upto, primitive_root
 from cyclores.powsym import symbol
 from cyclores.regulab import (
     IrregularPair,
     bernoulli,
-    bernoulli_akiyama_tanigawa,
     eigencomponent_symbol,
     h_minus,
     irregular_pairs,
     vandiver_witness,
 )
 from cyclores.resfield import ideal_from_root, split_prime
+
+# OEIS A000927: h^- of the p-th cyclotomic field
+H_MINUS_A000927 = {
+    3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 3, 29: 8, 31: 9,
+    37: 37, 41: 121, 43: 211, 47: 695, 53: 4889, 59: 41241, 61: 76301,
+    67: 853513, 71: 3882809, 73: 11957417, 79: 100146415,
+    83: 838216959, 89: 13379363737, 97: 411322824001,
+    101: 3547404378125,
+}
+
+
+def bernoulli_akiyama_tanigawa(n):
+    """B_n by the Akiyama-Tanigawa triangle; independent of `bernoulli`.
+
+    The raw triangle produces the B_1 = +1/2 convention; the sign is
+    flipped at n = 1 so both routines agree everywhere.
+    """
+    if n == 1:
+        return Fraction(-1, 2)
+    row = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        row[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+    return row[0]
+
+
+def h_minus_mod_direct(p, ell):
+    """h^- mod ell straight from h^- = 2p prod_{chi odd} (-B_{1,chi}/2),
+    B_{1,chi} = (1/p) sum_a chi(a) a, every character sum evaluated
+    term by term in F_ell (ell = 1 mod p-1): O(p^2) operations."""
+    n = p - 1
+    g = primitive_root(p)
+    omega = next(
+        z for z in (pow(u, (ell - 1) // n, ell) for u in range(2, ell))
+        if all(pow(z, n // r, ell) != 1 for r in factorize(n))
+    )
+    omega_pow = [pow(omega, i, ell) for i in range(n)]
+    chi_arg = [pow(g, t, p) for t in range(n)]  # chi_j(g^t) = omega^(jt)
+    inv_2p = pow(2 * p, -1, ell)
+    h = 2 * p
+    for j in range(1, n, 2):
+        b1 = sum(chi_arg[t] * omega_pow[j * t % n] for t in range(n))  # p * B_{1,chi_j}
+        h = h * (-b1 * inv_2p) % ell
+    return h
+
+
+def primes_one_mod(n, start, count):
+    out, ell = [], start // n * n + 1
+    while len(out) < count:
+        if ell > start and is_prime(ell):
+            out.append(ell)
+        ell += n
+    return out
 
 
 def test_bernoulli_values():
@@ -53,6 +106,12 @@ def test_irregular_pairs():
         irregular_pairs(9)
 
 
+def test_irregular_pairs_match_exact_bernoulli():
+    for p in primes_upto(200)[1:]:
+        expected = [k for k in range(2, p - 2, 2) if bernoulli(k).numerator % p == 0]
+        assert [pair.k for pair in irregular_pairs(p)] == expected, p
+
+
 def test_h_minus_values():
     assert h_minus(5) == 1
     assert h_minus(7) == 1
@@ -62,15 +121,22 @@ def test_h_minus_values():
         h_minus(10)
 
 
-def test_h_minus_precision_stability():
-    for p in (23, 37, 101):
-        base = h_minus(p)
-        assert base == h_minus(p, precision=256)
-        assert base == h_minus(p, precision=512)
+def test_h_minus_matches_oeis_a000927():
+    for p, h in H_MINUS_A000927.items():
+        assert h_minus(p) == h, p
+
+
+def test_h_minus_mod_direct_character_product():
+    # the library combines residues modulo primes below 2^62; these
+    # check primes lie above 2^62, so the comparison shares none of them
+    for p in (5, 29, 67, 101, 157, 211, 257, 293):
+        h = h_minus(p)
+        for ell in primes_one_mod(p - 1, 1 << 62, 2):
+            assert h % ell == h_minus_mod_direct(p, ell), (p, ell)
 
 
 def test_kummer_criterion_small():
-    for p in (5, 7, 11, 13, 31, 37, 59, 61, 67, 71):
+    for p in primes_upto(200)[2:]:
         assert (h_minus(p) % p == 0) == bool(irregular_pairs(p)), p
 
 
@@ -111,6 +177,23 @@ def test_vandiver_witness_reverifies_independently():
     r = pow(prod, (q - 1) // p, q)
     assert r == wpow[w.e]
     assert w.e != 0
+
+
+def test_eigencomponent_symbol_matches_dense_conjugates():
+    # oracle: sum_a a^(-k) * symbol(sigma_a(u)) with every conjugate
+    # expanded densely in Z[zeta]; degree-1 ideals and one of degree 2
+    p, k = 37, 32
+    ctx = field_ctx(p)
+    u = unit_minus(ctx, primitive_root(p))
+    conjugates = [galois(u, a) for a in range(1, p)]
+    ideals = list(split_prime(ctx, 149)[:6]) + [split_prime(ctx, 73)[0]]
+    assert ideals[-1].f == 2
+    for ideal in ideals:
+        dense = sum(
+            pow(pow(a, k, p), -1, p) * symbol(conjugates[a - 1], ideal)
+            for a in range(1, p)
+        ) % p
+        assert eigencomponent_symbol(ctx, k, ideal) == dense, ideal.w
 
 
 def test_vandiver_vanishing_is_ideal_independent():
