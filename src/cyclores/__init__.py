@@ -34,8 +34,6 @@ from .cycint import (
     zeta_power,
 )
 from .cycunits import (
-    UnitKind,
-    cyclotomic_unit,
     inv_one_plus_zeta,
     unit_minus,
     unit_plus,

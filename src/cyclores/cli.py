@@ -1,16 +1,18 @@
 """Command-line front end with reproducible JSON output.
 
-Exit codes: 0 success (all assertions passed), 1 usage error,
-2 verification failure, 3 internal error.  Single results are printed
-as one JSON object; scans and verifications stream JSON lines.  Big
-integers are serialized as decimal strings.
+Exit codes: 0 success (all assertions passed), 1 usage error or bad
+input, 2 verification failure, 3 internal error.  ``run`` alone maps
+exceptions to codes: a usage error, a ValueError (the library's signal
+for bad input, JSON and decoding errors included) or an OSError exits
+1, and every other exception, InternalError included, exits 3.  Single
+results are printed as one JSON object; scans and verifications stream
+JSON lines.  Big integers are serialized as decimal strings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cycint import cyc_from_json, field_ctx
@@ -59,12 +61,6 @@ def _emit(obj, out=None) -> None:
     print(_dump(obj), file=out or sys.stdout)
 
 
-def _require_prime(value: int, name: str) -> int:
-    if not is_prime(value):
-        raise UsageError(f"{name}={value} is not prime")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cyclores", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -100,7 +96,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--y", type=int, required=True)
     sp.add_argument("--sign", choices=("plus", "minus"), required=True)
     sp.add_argument("--trial-bound", type=int, default=1_000_000)
-    sp.add_argument("--jobs", type=int, default=None)
     sp.add_argument("--out", help="write JSON lines here instead of stdout")
 
     sp = sub.add_parser("verify", help="check identities on recorded scans")
@@ -119,12 +114,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_split(args) -> int:
-    ctx = field_ctx(_require_prime(args.p, "p"))
-    if not is_prime(args.q):
-        raise UsageError(f"q={args.q} is not prime")
-    if args.q == args.p:
-        raise UsageError("q = p is ramified; choose q != p")
-    ideals = split_prime(ctx, args.q)
+    ideals = split_prime(field_ctx(args.p), args.q)
     _emit({
         "p": args.p,
         "q": args.q,
@@ -135,21 +125,16 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
-    ctx = field_ctx(_require_prime(args.p, "p"))
-    if not is_prime(args.q):
-        raise UsageError(f"q={args.q} is not prime")
     if (args.w is None) == (args.modulus is None):
         raise UsageError("give exactly one of --w (f=1) or --modulus (f>1)")
-    try:
-        if args.w is not None:
-            ideal = ideal_from_root(ctx, args.q, args.w)
-        else:
-            coeffs = [int(c) for c in args.modulus.split(",")]
-            ideal = ideal_from_modulus(ctx, args.q, coeffs)
-        alpha = cyc_from_json(ctx, json.loads(args.alpha))
-        e = symbol(alpha, ideal)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ctx = field_ctx(args.p)
+    if args.w is not None:
+        ideal = ideal_from_root(ctx, args.q, args.w)
+    else:
+        coeffs = [int(c) for c in args.modulus.split(",")]
+        ideal = ideal_from_modulus(ctx, args.q, coeffs)
+    alpha = cyc_from_json(ctx, json.loads(args.alpha))
+    e = symbol(alpha, ideal)
     _emit({
         "alpha": coeffs_to_json(alpha),
         "q": args.q,
@@ -160,7 +145,7 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_units(args) -> int:
-    ctx = field_ctx(_require_prime(args.p, "p"))
+    ctx = field_ctx(args.p)
     p = ctx.p
     minus = {str(a): coeffs_to_json(unit_minus(ctx, a)) for a in range(1, p)}
     plus = {str(a): coeffs_to_json(unit_plus(ctx, a)) for a in range(1, p)}
@@ -185,26 +170,20 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_irregular(args) -> int:
-    p = _require_prime(args.p, "p")
-    pairs = irregular_pairs(p)
-    _emit({"p": p, "irregular_pairs": [pair.k for pair in pairs]})
+    pairs = irregular_pairs(args.p)
+    _emit({"p": args.p, "irregular_pairs": [pair.k for pair in pairs]})
     return 0
 
 
 def _cmd_hminus(args) -> int:
-    p = _require_prime(args.p, "p")
-    value = h_minus(p)
-    _emit({"p": p, "h_minus": str(value)})
+    value = h_minus(args.p)
+    _emit({"p": args.p, "h_minus": str(value)})
     return 0
 
 
 def _cmd_vandiver(args) -> int:
-    p = _require_prime(args.p, "p")
-    try:
-        witness = vandiver_witness(p, args.k, args.candidates)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    out = {"p": p, "k": args.k, "candidates": args.candidates}
+    witness = vandiver_witness(args.p, args.k, args.candidates)
+    out = {"p": args.p, "k": args.k, "candidates": args.candidates}
     if witness is None:
         out["witness"] = None
         out["result"] = "inconclusive"
@@ -216,15 +195,8 @@ def _cmd_vandiver(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    ctx = field_ctx(_require_prime(args.p, "p"))
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("CYCLORES_JOBS", "1"))
-    try:
-        result = scan(ctx, args.x, args.y, _SIGN_VALUE[args.sign],
-                      args.trial_bound, jobs=jobs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = scan(field_ctx(args.p), args.x, args.y, _SIGN_VALUE[args.sign],
+                  args.trial_bound)
     lines = [_dump(record_to_json(rec)) for rec in result]
     if result.unfactored_cofactor is not None:
         lines.append(_dump({
@@ -247,12 +219,9 @@ def _cmd_scan(args) -> int:
 def _read_records(path: str) -> list[tuple[dict, ScanRecord | None]]:
     """Parse a JSON-lines records file completely, before anything is
     emitted: (line data, record), or (report line, None) for a partial
-    scan.  Unreadable or malformed input is a usage error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+    scan.  A malformed line is a usage error naming its line number."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     entries = []
     for number, line in enumerate(lines, 1):
         line = line.strip()
@@ -326,10 +295,7 @@ def _cmd_telescope(args) -> int:
 
 
 def _cmd_barlow(args) -> int:
-    try:
-        report = barlow_abel_check(args.p, args.x, args.y, args.z)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = barlow_abel_check(args.p, args.x, args.y, args.z)
     _emit({
         "p": args.p,
         "x": args.x,
@@ -363,13 +329,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -13,9 +13,7 @@ arbitrary precision throughout.
 Products are quadratic convolutions of coefficient vectors.  The
 convolution is evaluated by packing each vector into one big integer and
 multiplying those (Kronecker substitution), which moves the inner loop
-into native multi-word arithmetic; a literal schoolbook convolution is
-kept as ``_mul_convolve`` and serves as an independent reference in the
-tests.  All values are immutable and safe to share across threads.
+into native multi-word arithmetic.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -230,18 +228,6 @@ def _convolve_packed(ac: Sequence[int], bc: Sequence[int], p: int) -> list[int]:
     if prod:
         raise InternalError("kronecker unpack left a nonzero carry")
     return vec
-
-
-def _mul_convolve(ac: Sequence[int], bc: Sequence[int], p: int) -> tuple[int, ...]:
-    # reference quadratic convolution; used by the tests as an oracle
-    vec = [0] * p
-    for i, ci in enumerate(ac):
-        if ci:
-            for j, cj in enumerate(bc):
-                if cj:
-                    idx = i + j
-                    vec[idx if idx < p else idx - p] += ci * cj
-    return _reduce(vec, p)
 
 
 def cyc_mul(a: CycInt, b: CycInt) -> CycInt:

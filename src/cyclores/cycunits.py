@@ -21,7 +21,6 @@ solved once per field and cached.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 
 from .cycint import (
@@ -35,18 +34,11 @@ from .cycint import (
 )
 
 __all__ = [
-    "UnitKind",
     "unit_minus",
     "unit_plus",
-    "cyclotomic_unit",
     "inv_one_plus_zeta",
     "unit_product_check",
 ]
-
-
-class UnitKind(Enum):
-    MINUS = "minus"
-    PLUS = "plus"
 
 
 def _check_index(ctx: FieldCtx, a: int) -> None:
@@ -93,10 +85,6 @@ def unit_plus(ctx: FieldCtx, a: int) -> CycInt:
     shift = (1 - a) * ctx.inv2 % ctx.p
     numer = cyc_new(ctx, [(shift, 1), (shift + a, 1)])
     return cyc_mul(numer, inv_one_plus_zeta(ctx))
-
-
-def cyclotomic_unit(ctx: FieldCtx, a: int, kind: UnitKind) -> CycInt:
-    return unit_minus(ctx, a) if kind is UnitKind.MINUS else unit_plus(ctx, a)
 
 
 def unit_product_check(ctx: FieldCtx) -> bool:

@@ -38,9 +38,8 @@ edited JSON records fail soft.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .cycint import (
     CycInt,
@@ -51,7 +50,7 @@ from .cycint import (
     field_ctx,
 )
 from .cycunits import unit_minus, unit_plus
-from .ntheory import is_prime, kth_root_exact, primes_upto, valuation
+from .ntheory import is_prime, kth_root_exact, valuation
 from .powsym import NotCoprimeError, symbol, zeta_symbol
 from .resfield import PrimeIdealRep, ideal_dividing, ideal_from_root, ideal_to_json
 
@@ -121,40 +120,23 @@ class ScanResult:
         return self.records[i]
 
 
-_SIEVE_CAP = 1 << 24
-
-
-def _candidate_primes(p: int, bound: int) -> tuple[int, ...]:
-    # q = 1 (mod p) and odd forces q = 1 (mod 2p); the sieve is shared
-    # through primes_upto's cache, rounding the limit up to a power of two
-    limit = 1 << max(bound.bit_length(), 4)
-    return tuple(r for r in primes_upto(limit) if r % p == 1)
-
-
 def _trial_factors(p: int, n: int, trial_bound: int) -> tuple[list[int], int]:
     """Distinct primes q = 1 mod p with q <= trial_bound dividing n, and the
-    remaining cofactor.  Relies on gcd(x, y) = 1: every prime factor of
-    the scanned quotient other than p itself is = 1 mod p."""
+    remaining cofactor.  Relies on gcd(x, y) = 1: the scanned quotient is
+    odd and every prime factor of it other than p itself is = 1 mod p,
+    hence = 1 mod 2p.  The loop steps d through that progression; a
+    composite d never divides what is left, because its prime factors
+    are smaller members of the progression and were divided out first."""
     found: list[int] = []
     rem = n
-    bound = min(trial_bound, isqrt(rem))
-    if bound <= _SIEVE_CAP:
-        for r in _candidate_primes(p, bound):
-            if r > trial_bound or r * r > rem:
-                break
-            if rem % r == 0:
-                found.append(r)
-                while rem % r == 0:
-                    rem //= r
-    else:
-        step = 2 * p
-        d = step + 1
-        while d <= trial_bound and d * d <= rem:
-            if rem % d == 0:
-                found.append(d)
-                while rem % d == 0:
-                    rem //= d
-            d += step
+    step = 2 * p
+    d = step + 1
+    while d <= trial_bound and d * d <= rem:
+        if rem % d == 0:
+            found.append(d)
+            while rem % d == 0:
+                rem //= d
+        d += step
     return found, rem
 
 
@@ -164,7 +146,6 @@ def scan(
     y: int,
     sign: int,
     trial_bound: int,
-    jobs: int = 1,
 ) -> ScanResult:
     """Factor (x^p + sign*y^p)/(x + sign*y) and record every located prime.
 
@@ -203,13 +184,7 @@ def scan(
         else:
             unfactored = cofactor
     found.sort()
-    if jobs > 1 and len(found) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = tuple(
-                pool.map(lambda q: _build_record(ctx, x, y, sign, n_value, q), found)
-            )
-    else:
-        records = tuple(_build_record(ctx, x, y, sign, n_value, q) for q in found)
+    records = tuple(_build_record(ctx, x, y, sign, n_value, q) for q in found)
     return ScanResult(records=records, unfactored_cofactor=unfactored)
 
 

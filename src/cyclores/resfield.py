@@ -16,8 +16,7 @@ conventions below make every output reproducible bit for bit:
   increasing w.
 
 Residue-field elements are little-endian coefficient tuples of fixed
-length f with entries in [0, q).  Everything here is immutable;
-``split_prime`` is pure and safe to call from parallel scans.
+length f with entries in [0, q).  Everything here is immutable.
 """
 
 from __future__ import annotations
@@ -225,6 +224,11 @@ def _fpow(u, e, m0, q, f) -> tuple[int, ...]:
 
 # ----------------------------------------------------------------------
 
+def _degree_one(ctx: FieldCtx, q: int, w: int) -> PrimeIdealRep:
+    # the degree-1 ideal at which zeta maps to w; its modulus is t - w
+    return PrimeIdealRep(ctx, q, 1, w, ((q - w) % q, 1))
+
+
 def _element_of_order_p(q: int, p: int) -> int:
     # q = 1 mod p; scan small bases until the power map lands off 1
     k = (q - 1) // p
@@ -311,9 +315,7 @@ def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
     if f == 1:
         z = _element_of_order_p(q, p)
         roots = sorted(pow(z, i, q) for i in range(1, p))
-        return tuple(
-            PrimeIdealRep(ctx, q, 1, w, ((q - w) % q, 1)) for w in roots
-        )
+        return tuple(_degree_one(ctx, q, w) for w in roots)
     phi = [1 % q] * p
     if f == p - 1:
         factors = [tuple(phi)]
@@ -382,7 +384,7 @@ def ideal_dividing(
     w = -sign * y * pow(x, -1, q) % q
     if w == 1 or pow(w, p, q) != 1:
         return None
-    return PrimeIdealRep(ctx, q, 1, w, ((q - w) % q, 1))
+    return _degree_one(ctx, q, w)
 
 
 def ideal_from_root(ctx: FieldCtx, q: int, w: int) -> PrimeIdealRep:
@@ -395,11 +397,13 @@ def ideal_from_root(ctx: FieldCtx, q: int, w: int) -> PrimeIdealRep:
     w %= q
     if w in (0, 1) or pow(w, p, q) != 1:
         raise ValueError(f"w={w} does not have multiplicative order {p} mod {q}")
-    return PrimeIdealRep(ctx, q, 1, w, ((q - w) % q, 1))
+    return _degree_one(ctx, q, w)
 
 
 def ideal_from_modulus(ctx: FieldCtx, q: int, coeffs: Sequence[int]) -> PrimeIdealRep:
     """Ideal above q addressed by its modulus polynomial (any degree)."""
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
     wanted = tuple(c % q for c in coeffs)
     if len(wanted) == 2 and wanted[1] == 1:
         return ideal_from_root(ctx, q, (q - wanted[0]) % q)
@@ -421,9 +425,7 @@ def galois_image(ideal: PrimeIdealRep, k: int) -> PrimeIdealRep:
         raise ValueError("galois index must be nonzero modulo p")
     inv = pow(k, -1, p)
     if ideal.f == 1:
-        q = ideal.q
-        w = pow(ideal.w, inv, q)
-        return PrimeIdealRep(ideal.ctx, q, 1, w, ((q - w) % q, 1))
+        return _degree_one(ideal.ctx, ideal.q, pow(ideal.w, inv, ideal.q))
     target = ideal.w_powers[inv]
     orbit = []
     conj = target

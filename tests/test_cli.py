@@ -1,14 +1,16 @@
 import json
 
 import pytest
+import sympy
 
+from cyclores import cli
 from cyclores.cli import run
-from cyclores.cycint import field_ctx
+from cyclores.cycint import InternalError, field_ctx
 from cyclores.fltharness import PLUS, record_to_json, scan
 
 
 def run_cli(capsys, *argv):
-    code = run(list(argv))
+    code = run([str(a) for a in argv])
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -114,3 +116,46 @@ def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     code, out, _ = run_cli(capsys, "verify", "--in", infile)
     assert code == 1
     assert out == ""
+
+
+SCAN5 = ["scan", "--p", "5", "--x", "2", "--y", "1", "--sign", "plus"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["irregular", "--p", 2],
+    ["hminus", "--p", 2],
+    ["split", "--p", 3, "--q", 7],
+    ["split", "--p", 5, "--q", sympy.nextprime(2**64)],
+    ["symbol", "--p", 5, "--q", 0, "--modulus", "1,2", "--alpha", "[1,0,0,0]"],
+    ["units", "--p", 3],
+    ["scan", "--p", 3, "--x", 2, "--y", 1, "--sign", "plus"],
+    SCAN5 + ["--out", "{missing}/x.jsonl"],
+    SCAN5 + ["--jobs", 2],
+], ids=["irregular-p2", "hminus-p2", "split-p3", "split-q-over-64-bits",
+        "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs"])
+def test_bad_input_exits_1(capsys, tmp_path, argv):
+    argv = [str(a).replace("{missing}", str(tmp_path / "absent")) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise InternalError("invariant failed")
+
+    monkeypatch.setitem(cli._HANDLERS, "hminus", broken)
+    code, out, err = run_cli(capsys, "hminus", "--p", "37")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: invariant failed\n"
+
+
+def test_scan_out_writes_the_stdout_lines(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, *SCAN5)
+    assert code == 0
+    target = tmp_path / "scan.jsonl"
+    code, out_file, _ = run_cli(capsys, *SCAN5, "--out", target)
+    assert code == 0 and out_file == ""
+    assert target.read_text() == out

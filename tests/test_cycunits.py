@@ -10,8 +10,6 @@ from cyclores.cycint import (
     zeta_power,
 )
 from cyclores.cycunits import (
-    UnitKind,
-    cyclotomic_unit,
     inv_one_plus_zeta,
     unit_minus,
     unit_plus,
@@ -99,8 +97,3 @@ def test_index_range_errors():
         unit_minus(CTX5, 5)
     with pytest.raises(ValueError):
         unit_plus(CTX5, -1)
-
-
-def test_cyclotomic_unit_dispatch():
-    assert cyclotomic_unit(CTX5, 2, UnitKind.MINUS) == unit_minus(CTX5, 2)
-    assert cyclotomic_unit(CTX5, 2, UnitKind.PLUS) == unit_plus(CTX5, 2)

@@ -1,7 +1,8 @@
 import json
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+import sympy
 
 from cyclores.cycint import cyc_new, field_ctx
 from cyclores.cycunits import unit_minus
@@ -270,10 +271,45 @@ def test_scan_is_deterministic():
     assert json.dumps(a) == json.dumps(b)
 
 
-def test_scan_jobs_matches_serial():
-    serial = scan(CTX5, 6, 1, PLUS, 10**6)
-    parallel = scan(CTX5, 6, 1, PLUS, 10**6, jobs=4)
-    assert [record_to_json(r) for r in serial] == [record_to_json(r) for r in parallel]
+def _scan_oracle(p, x, y, sign, bound):
+    # trial division by every prime up to min(bound, sqrt(m)), with no use
+    # of q = 1 (mod 2p); what is left then has no prime factor that small
+    m = (x**p + sign * y**p) // (x + sign * y)
+    while m % p == 0:
+        m //= p
+    lim = min(bound, isqrt(m))
+    sympy.sieve.extend(lim)
+    qs = []
+    for r in sympy.primerange(2, lim + 1):
+        if m % r == 0:
+            qs.append(r)
+            while m % r == 0:
+                m //= r
+    if m > 1 and m.bit_length() <= 63 and sympy.isprime(m):
+        return qs + [m], None
+    return qs, (m if m > 1 else None)
+
+
+SCAN_CASES = {
+    5: [(2, 1, PLUS), (12, 5, PLUS), (7, -3, MINUS), (11, 4, MINUS), (10007, 3, PLUS)],
+    7: [(2, 1, PLUS), (9, 4, MINUS), (12, -7, PLUS), (5, 3, PLUS)],
+    11: [(3, 1, PLUS), (4, 3, MINUS), (12, 5, PLUS), (7, 2, MINUS)],
+    13: [(2, 1, MINUS), (5, 2, PLUS), (11, 6, MINUS), (1009, 2, MINUS)],
+    101: [(2, 1, PLUS), (4, 3, MINUS)],
+}
+
+
+@pytest.mark.parametrize("p", sorted(SCAN_CASES))
+def test_scan_factors_match_prime_oracle(p):
+    # 2^25 is past 2^24, where an earlier version switched trial-division
+    # methods; the big-x cases and p = 101 reach it
+    ctx = field_ctx(p)
+    for x, y, sign in SCAN_CASES[p]:
+        for bound in (2, 10**3, 10**6, 2**25):
+            result = scan(ctx, x, y, sign, bound)
+            qs, cofactor = _scan_oracle(p, x, y, sign, bound)
+            assert [rec.q for rec in result] == qs, (x, y, sign, bound)
+            assert result.unfactored_cofactor == cofactor, (x, y, sign, bound)
 
 
 def test_mini_sweep_all_identities_hold():
