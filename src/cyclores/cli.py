@@ -4,14 +4,20 @@ Exit codes: 0 success (all assertions passed), 1 usage error or bad
 input, 2 verification failure, 3 internal error.  ``run`` alone maps
 exceptions to codes: a usage error, a ValueError (the library's signal
 for bad input, JSON and decoding errors included) or an OSError exits
-1, and every other exception, InternalError included, exits 3.  Single
-results are printed as one JSON object; scans and verifications stream
-JSON lines.  Big integers are serialized as decimal strings.
+1, and every other exception, InternalError included, exits 3.
+``--help`` prints the help text to stdout and ``run`` returns 0; it
+never ends the calling process.  Single results are printed as one
+JSON object; scans and verifications stream JSON lines.  Big integers
+are serialized as decimal strings.
+
+The argument parser is built once per process, on the first ``run``
+call, and reused by every later one: parsing only reads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -61,6 +67,7 @@ def _emit(obj, out=None) -> None:
     print(_dump(obj), file=out or sys.stdout)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cyclores", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -325,10 +332,11 @@ _HANDLERS = {
 
 def run(argv: list[str] | None = None) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # argparse's exit after --help printed its text
+        return exc.code
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

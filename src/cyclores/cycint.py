@@ -18,6 +18,7 @@ into native multi-word arithmetic.  All values are immutable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,6 +43,7 @@ __all__ = [
     "norm",
     "coeffs_to_json",
     "cyc_from_json",
+    "int_from_json",
 ]
 
 #: Automorphisms zeta -> zeta^k are addressed by the plain integer k,
@@ -296,8 +298,27 @@ def coeffs_to_json(a: CycInt) -> list[str]:
     return [str(c) for c in a.coeffs]
 
 
-def cyc_from_json(ctx: FieldCtx, items: Sequence[str | int]) -> CycInt:
-    """Rebuild an element from its serialized coefficient vector."""
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def int_from_json(value: object) -> int:
+    """An integer read from JSON: an int (not a bool) or a decimal string.
+
+    Anything else (null, a bool, a float, another string, a list or an
+    object) raises ValueError instead of being truncated or coerced.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
+
+
+def cyc_from_json(ctx: FieldCtx, items: list[str | int]) -> CycInt:
+    """Rebuild an element from its serialized coefficient vector: a list
+    of p-1 integers (see ``int_from_json``), else ValueError."""
+    if not isinstance(items, list):
+        raise ValueError(f"expected a list of coefficients, got {type(items).__name__}")
     if len(items) != ctx.p - 1:
         raise ValueError(f"expected {ctx.p - 1} coefficients, got {len(items)}")
-    return CycInt(ctx, tuple(int(c) for c in items))
+    return CycInt(ctx, tuple(int_from_json(c) for c in items))

@@ -48,6 +48,7 @@ from .cycint import (
     cyc_int,
     cyc_new,
     field_ctx,
+    int_from_json,
 )
 from .cycunits import unit_minus, unit_plus
 from .ntheory import is_prime, kth_root_exact, valuation
@@ -527,17 +528,24 @@ def record_to_json(rec: ScanRecord) -> dict:
 
 
 def record_from_json(data: dict) -> ScanRecord:
-    """Rebuild and re-validate a scan record from its JSON form."""
-    p = int(data["p"])
+    """Rebuild and re-validate a scan record from its JSON form.
+
+    Every integer field is read by ``int_from_json``, so a null, bool,
+    float or non-decimal value is a ValueError.  A symbol entry may be
+    null only where ``verify_symbol_identities`` can skip it (an element
+    or unit entry); "zeta" and "x+y" enter every check and must be
+    integers.
+    """
+    p = int_from_json(data["p"])
     ctx = field_ctx(p)
-    x, y = int(data["x"]), int(data["y"])
+    x, y = int_from_json(data["x"]), int_from_json(data["y"])
     sign = _SIGN_VALUE[data["sign"]]
-    n_value = int(data["N"])
-    q = int(data["q"])
+    n_value = int_from_json(data["N"])
+    q = int_from_json(data["q"])
     ideal_data = data["ideal"]
-    if int(ideal_data["f"]) != 1:
+    if int_from_json(ideal_data["f"]) != 1:
         raise ValueError("scan records always carry degree-1 ideals")
-    ideal = ideal_from_root(ctx, q, int(ideal_data["w"]))
+    ideal = ideal_from_root(ctx, q, int_from_json(ideal_data["w"]))
     if q % p != 1:
         raise ValueError("record violates q = 1 mod p")
     if n_value % q != 0:
@@ -554,7 +562,8 @@ def record_from_json(data: dict) -> ScanRecord:
         if key not in symbols_raw:
             raise ValueError(f"record is missing symbol entry {key!r}")
         v = symbols_raw[key]
-        symbols[key] = None if v is None else int(v)
+        skippable = key not in ("zeta", "x+y")
+        symbols[key] = None if v is None and skippable else int_from_json(v)
     return ScanRecord(
         p=p,
         x=x,
@@ -563,6 +572,6 @@ def record_from_json(data: dict) -> ScanRecord:
         n=n_value,
         q=q,
         ideal=ideal,
-        q_mod_p2=int(data["q_mod_p2"]),
+        q_mod_p2=int_from_json(data["q_mod_p2"]),
         symbols=symbols,
     )

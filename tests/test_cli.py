@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 import sympy
@@ -6,7 +7,7 @@ import sympy
 from cyclores import cli
 from cyclores.cli import run
 from cyclores.cycint import InternalError, field_ctx
-from cyclores.fltharness import PLUS, record_to_json, scan
+from cyclores.fltharness import MINUS, PLUS, record_to_json, scan
 
 
 def run_cli(capsys, *argv):
@@ -110,7 +111,13 @@ def test_verify_edited_q(capsys, tmp_path, q):
     {"partial": True},
     edited(sign=None),
     edited(sign=["plus"]),
-], ids=["not-an-object", "truncated", "partial-without-cofactor", "no-sign", "list-sign"])
+    edited(symbols={**genuine_record()["symbols"], "zeta": None}),
+    edited(symbols={**genuine_record()["symbols"], "x+y": None}),
+    edited(symbols={**genuine_record()["symbols"], "x+zeta^1*y": 1.5}),
+    edited(q=11.0),
+    edited(y=True),
+], ids=["not-an-object", "truncated", "partial-without-cofactor", "no-sign", "list-sign",
+        "null-zeta", "null-x+y", "float-symbol", "float-q", "bool-y"])
 def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     infile = write_lines(tmp_path / "bad.jsonl", [genuine_record(), bad])
     code, out, _ = run_cli(capsys, "verify", "--in", infile)
@@ -119,6 +126,7 @@ def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
 
 
 SCAN5 = ["scan", "--p", "5", "--x", "2", "--y", "1", "--sign", "plus"]
+SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -131,8 +139,18 @@ SCAN5 = ["scan", "--p", "5", "--x", "2", "--y", "1", "--sign", "plus"]
     ["scan", "--p", 3, "--x", 2, "--y", 1, "--sign", "plus"],
     SCAN5 + ["--out", "{missing}/x.jsonl"],
     SCAN5 + ["--jobs", 2],
+    ["telescope", "--pmax", 4],
+    ["barlow", "--p", 4, "--x", 1, "--y", 2, "--z", 3],
+    SYMBOL5 + ["--alpha", "5"],
+    SYMBOL5 + ["--alpha", "[null,1,2,3]"],
+    SYMBOL5 + ["--alpha", "[[1],1,2,3]"],
+    SYMBOL5 + ["--alpha", "[1.5,1,2,3]"],
+    SYMBOL5 + ["--alpha", "[true,1,2,3]"],
+    SYMBOL5 + ["--alpha", '"1234"'],
 ], ids=["irregular-p2", "hminus-p2", "split-p3", "split-q-over-64-bits",
-        "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs"])
+        "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
+        "telescope-pmax4", "barlow-p4", "alpha-int", "alpha-null", "alpha-list",
+        "alpha-float", "alpha-bool", "alpha-string"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
     argv = [str(a).replace("{missing}", str(tmp_path / "absent")) for a in argv]
     code, out, err = run_cli(capsys, *argv)
@@ -159,3 +177,108 @@ def test_scan_out_writes_the_stdout_lines(capsys, tmp_path):
     code, out_file, _ = run_cli(capsys, *SCAN5, "--out", target)
     assert code == 0 and out_file == ""
     assert target.read_text() == out
+
+
+# Outputs checked by hand: the roots of order 5 mod 11 are 3, 4, 5, 9;
+# x^4+x^3+x^2+x+1 = (x^2+5x+1)(x^2+15x+1) mod 19, and 5+5s is a root of
+# the second factor in F_19[s]/(s^2+5s+1); (2+zeta) at w=3 is 5, and
+# 5^((11-1)/5) = 3 = w^1; the unit tables follow the definitions in
+# cycunits, reduced by zeta^4 = -(1+zeta+zeta^2+zeta^3).
+@pytest.mark.parametrize("argv, want", [
+    (["split", "--p", 5, "--q", 11],
+     '{"p":5,"q":11,"f":1,"ideals":['
+     '{"q":11,"f":1,"w":"3","modulus":["8","1"]},'
+     '{"q":11,"f":1,"w":"4","modulus":["7","1"]},'
+     '{"q":11,"f":1,"w":"5","modulus":["6","1"]},'
+     '{"q":11,"f":1,"w":"9","modulus":["2","1"]}]}'),
+    (["split", "--p", 5, "--q", 19],
+     '{"p":5,"q":19,"f":2,"ideals":['
+     '{"q":19,"f":2,"w":"0,1","modulus":["1","5","1"],"field_modulus":["1","5","1"]},'
+     '{"q":19,"f":2,"w":"5,5","modulus":["1","15","1"],"field_modulus":["1","5","1"]}]}'),
+    (SYMBOL5 + ["--alpha", '[2,"1",0,0]'],
+     '{"alpha":["2","1","0","0"],"q":11,"w":"3","e":1}'),
+    (["units", "--p", 5],
+     '{"p":5,'
+     '"minus":{"1":["1","0","0","0"],"2":["0","0","1","1"],'
+     '"3":["0","0","-1","-1"],"4":["-1","0","0","0"]},'
+     '"plus":{"1":["1","0","0","0"],"2":["-2","0","-1","-1"],'
+     '"3":["-2","0","-1","-1"],"4":["1","0","0","0"]},'
+     '"checks":{"minus_antisymmetry":true,"plus_symmetry":true,"norms_unit":true,'
+     '"product_identity":true,"inverse_check":true}}'),
+    (["telescope", "--pmax", 13],
+     '{"match":true,"pmax":13,"primes_checked":[5,7,11,13]}'),
+    (["barlow", "--p", 3, "--x", 1, "--y", 7, "--z", 8],
+     '{"p":3,"x":1,"y":7,"z":8,"checks":['
+     '{"name":"x+y is a p-th power","holds":true,"detail":"x+y = 8 = (2)^3"},'
+     '{"name":"x+z = 3^(nu*p-1) * (p-th power)","holds":true,'
+     '"detail":"x+z = 9 = 3^2 * (1)^3, nu = 1"},'
+     '{"name":"p divides y","holds":false,"detail":"y = 7"},'
+     '{"name":"x, y, z pairwise coprime","holds":true,"detail":""},'
+     '{"name":"x^p + y^p + z^p = 0","holds":false,"detail":"sum = 856"}]}'),
+], ids=["split-f1", "split-f2", "symbol", "units", "telescope", "barlow"])
+def test_output(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, want + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hminus", "--help"], ["scan", "-h"]])
+def test_help_returns_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: cyclores")
+    assert err == ""
+
+
+def test_parser_built_once_and_reused(capsys):
+    good = SYMBOL5 + ["--alpha", "[2,1,0,0]"]
+    cli._build_parser.cache_clear()
+    first = run_cli(capsys, *good)
+    assert run_cli(capsys, "hminus", "--bogus")[0] == 1
+    assert run_cli(capsys, *SYMBOL5, "--alpha", "[null,1,2,3]")[0] == 1
+    assert run_cli(capsys, "hminus", "--help")[0] == 0
+    assert run_cli(capsys, *good) == first == (0, '{"alpha":["2","1","0","0"],"q":11,"w":"3","e":1}\n', "")
+    assert cli._build_parser.cache_info().misses == 1
+
+
+FUZZ_VALUES = [None, True, False, 1.5, -0.0, "", "x", "12a", "1e3", [], [1], {}, {"a": 1}, 2**70]
+
+
+def fuzz_records():
+    records = []
+    for p in (5, 7, 11, 13):
+        for x, y, sign in ((2, 1, PLUS), (3, 1, MINUS), (3, 2, PLUS), (5, 2, MINUS)):
+            records += [record_to_json(rec) for rec in scan(field_ctx(p), x, y, sign, 10**6)]
+    return records
+
+
+def paths(node, prefix=()):
+    """Every key path in a JSON record, nested objects included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from paths(value, prefix + (key,))
+
+
+def test_verify_fuzzed_records_never_exit_3(capsys, tmp_path):
+    rng = random.Random(20130423)
+    records = fuzz_records()
+    assert {rec["p"] for rec in records} == {5, 7, 11, 13}
+    infile = tmp_path / "fuzz.jsonl"
+    codes = set()
+    for _ in range(600):
+        rec = json.loads(json.dumps(rng.choice(records)))
+        *parents, key = rng.choice(list(paths(rec)))
+        node = rec
+        for name in parents:
+            node = node[name]
+        if rng.random() < 0.2:
+            del node[key]
+        else:
+            node[key] = rng.choice(FUZZ_VALUES)
+        infile.write_text(json.dumps(rec) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--in", infile)
+        assert code in (0, 1, 2), (rec, err)
+        if code == 1:
+            assert out == "", rec
+        codes.add(code)
+    assert codes >= {1, 2}

@@ -206,3 +206,10 @@ def test_json_round_trip():
     assert cyc_from_json(CTX5, blob) == a
     with pytest.raises(ValueError):
         cyc_from_json(CTX5, ["1", "2"])
+    assert cyc_from_json(CTX5, [-3, "-0", "07", 2**70]).coeffs == (-3, 0, 7, 2**70)
+    for bad in (5, "1234", ("1", "2", "3", "4"), None, {"0": 1}):
+        with pytest.raises(ValueError):
+            cyc_from_json(CTX5, bad)
+    for entry in (None, True, False, 1.5, 2.0, "", "+1", "1.0", "1e3", " 1", "1_0", [1], {}):
+        with pytest.raises(ValueError):
+            cyc_from_json(CTX5, [entry, 0, 0, 0])
