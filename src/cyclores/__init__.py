@@ -65,7 +65,6 @@ from .powsym import (
     UnsupportedIdealError,
     residue_symbol,
     symbol,
-    symbol_vector,
     zeta_symbol,
 )
 from .regulab import (

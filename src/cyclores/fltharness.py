@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cycint import (
-    CycInt,
     FieldCtx,
     InternalError,
     cyc_int,
@@ -52,8 +51,14 @@ from .cycint import (
 )
 from .cycunits import unit_minus, unit_plus
 from .ntheory import is_prime, kth_root_exact, valuation
-from .powsym import NotCoprimeError, symbol, zeta_symbol
-from .resfield import PrimeIdealRep, ideal_dividing, ideal_from_root, ideal_to_json
+from .powsym import NotCoprimeError, residue_symbol, symbol, zeta_symbol
+from .resfield import (
+    PrimeIdealRep,
+    ResElt,
+    ideal_dividing,
+    ideal_from_root,
+    ideal_to_json,
+)
 
 __all__ = [
     "PLUS",
@@ -469,7 +474,9 @@ class FurtwanglerReport:
     ``consistency_ok`` asserts zeta-symbol = 0 iff p^2 | q-1.  The
     ``display_holds`` flag reports (never asserts) the conditional
     displays: on plus scans, whether sym(p) equals every sym(1-zeta^j);
-    on minus scans, whether every sym(1+zeta^j) is trivial.
+    on minus scans, whether every sym(1+zeta^j) is trivial.  ``p_exp``
+    and ``family_exps`` are symbols at the record's degree-1 ideal,
+    read from the residues p and 1 -+ w^j in F_q.
     """
 
     q: int
@@ -483,15 +490,22 @@ class FurtwanglerReport:
 
 
 def furtwangler_report(rec: ScanRecord) -> FurtwanglerReport:
-    ctx = rec.ideal.ctx
-    p = ctx.p
-    zeta_e = zeta_symbol(rec.ideal)
-    p2 = (rec.q - 1) % (p * p) == 0
-    p_exp = symbol(cyc_int(ctx, p), rec.ideal)
+    """Evaluate the Furtwangler family 1 -+ zeta^j (j = 1..p-1) and p at w.
+
+    The record's ideal has degree 1, so each element's residue is the
+    F_q scalar 1 -+ w^j (or p) and its symbol one power map away.  None
+    of them vanishes: w has order p, so w^j is neither 1 nor -1.
+    """
+    ideal = rec.ideal
+    p, q = ideal.ctx.p, ideal.q
+    zeta_e = zeta_symbol(ideal)
+    p2 = (q - 1) % (p * p) == 0
+    p_exp = residue_symbol(ResElt(ideal, (p % q,)))
     fam_sign = -1 if rec.sign == PLUS else 1
     family = "1-zeta^j" if rec.sign == PLUS else "1+zeta^j"
+    wpow = ideal.w_powers
     family_exps = {
-        j: symbol(cyc_new(ctx, [(0, 1), (j, fam_sign)]), rec.ideal)
+        j: residue_symbol(ResElt(ideal, ((1 + fam_sign * wpow[j]) % q,)))
         for j in range(1, p)
     }
     if rec.sign == PLUS:
@@ -531,10 +545,12 @@ def record_from_json(data: dict) -> ScanRecord:
     """Rebuild and re-validate a scan record from its JSON form.
 
     Every integer field is read by ``int_from_json``, so a null, bool,
-    float or non-decimal value is a ValueError.  A symbol entry may be
-    null only where ``verify_symbol_identities`` can skip it (an element
-    or unit entry); "zeta" and "x+y" enter every check and must be
-    integers.
+    float or non-decimal value is a ValueError.  The redundant fields
+    (``q_mod_p2``, the ideal's ``q`` and ``modulus``) must agree with q
+    and w, and every symbol exponent must lie in [0, p).  A symbol
+    entry may be null only where ``verify_symbol_identities`` can skip
+    it (an element or unit entry); "zeta" and "x+y" enter every check
+    and must be integers.
     """
     p = int_from_json(data["p"])
     ctx = field_ctx(p)
@@ -548,6 +564,13 @@ def record_from_json(data: dict) -> ScanRecord:
     ideal = ideal_from_root(ctx, q, int_from_json(ideal_data["w"]))
     if q % p != 1:
         raise ValueError("record violates q = 1 mod p")
+    if int_from_json(data["q_mod_p2"]) != q % (p * p):
+        raise ValueError("q_mod_p2 disagrees with q")
+    if int_from_json(ideal_data["q"]) != q:
+        raise ValueError("the ideal's q disagrees with the record's q")
+    modulus = ideal_data["modulus"]
+    if not isinstance(modulus, list) or tuple(map(int_from_json, modulus)) != ideal.modulus:
+        raise ValueError("the ideal's modulus disagrees with its root w")
     if n_value % q != 0:
         raise ValueError("recorded q does not divide N")
     if (x * ideal.w + sign * y) % q != 0:
@@ -562,8 +585,13 @@ def record_from_json(data: dict) -> ScanRecord:
         if key not in symbols_raw:
             raise ValueError(f"record is missing symbol entry {key!r}")
         v = symbols_raw[key]
-        skippable = key not in ("zeta", "x+y")
-        symbols[key] = None if v is None and skippable else int_from_json(v)
+        if v is None and key not in ("zeta", "x+y"):
+            symbols[key] = None
+            continue
+        e = int_from_json(v)
+        if not 0 <= e < p:
+            raise ValueError(f"symbol entry {key!r} = {e} is not in [0, {p})")
+        symbols[key] = e
     return ScanRecord(
         p=p,
         x=x,
@@ -572,6 +600,6 @@ def record_from_json(data: dict) -> ScanRecord:
         n=n_value,
         q=q,
         ideal=ideal,
-        q_mod_p2=int_from_json(data["q_mod_p2"]),
+        q_mod_p2=q % (p * p),
         symbols=symbols,
     )

@@ -15,8 +15,6 @@ fields are rejected rather than silently mishandled.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .cycint import ContextMismatchError, CycInt, InternalError
 from .resfield import PrimeIdealRep, ResElt, residue
 
@@ -27,7 +25,6 @@ __all__ = [
     "symbol",
     "residue_symbol",
     "zeta_symbol",
-    "symbol_vector",
 ]
 
 #: A residue symbol value: the exponent e in [0, p) with symbol = zeta^e.
@@ -73,13 +70,3 @@ def zeta_symbol(ideal: PrimeIdealRep) -> SymbolExp:
     """Symbol exponent of zeta itself: (q^f - 1)/p reduced mod p."""
     _check_supported(ideal)
     return ideal.euler_exponent % ideal.ctx.p
-
-
-def symbol_vector(items: Sequence[CycInt], ideal: PrimeIdealRep) -> list[SymbolExp]:
-    """Elementwise symbols; every item is checked for coprimality first."""
-    _check_supported(ideal)
-    residues = [residue(a, ideal) for a in items]
-    bad = [i for i, r in enumerate(residues) if r.is_zero()]
-    if bad:
-        raise NotCoprimeError(f"items at indices {bad} are not coprime to the ideal")
-    return [residue_symbol(r0) for r0 in residues]

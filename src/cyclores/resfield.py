@@ -40,7 +40,6 @@ __all__ = [
     "ideal_from_modulus",
     "galois_image",
     "ideal_to_json",
-    "ideal_from_json",
 ]
 
 
@@ -454,15 +453,3 @@ def ideal_to_json(ideal: PrimeIdealRep) -> dict:
     if ideal.field_modulus is not None:
         out["field_modulus"] = [str(c) for c in ideal.field_modulus]
     return out
-
-
-def ideal_from_json(ctx: FieldCtx, data: dict) -> PrimeIdealRep:
-    q = int(data["q"])
-    f = int(data["f"])
-    if f == 1:
-        ideal = ideal_from_root(ctx, q, int(data["w"]))
-    else:
-        ideal = ideal_from_modulus(ctx, q, [int(c) for c in data["modulus"]])
-    if ideal.f != f:
-        raise ValueError("declared residue degree disagrees with q mod p")
-    return ideal

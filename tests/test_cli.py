@@ -116,8 +116,17 @@ def test_verify_edited_q(capsys, tmp_path, q):
     edited(symbols={**genuine_record()["symbols"], "x+zeta^1*y": 1.5}),
     edited(q=11.0),
     edited(y=True),
+    edited(symbols={**genuine_record()["symbols"], "x+zeta^1*y": 1 + 5}),
+    edited(symbols={**genuine_record()["symbols"], "zeta": 2 + 5}),
+    edited(symbols={**genuine_record()["symbols"], "unit_minus[2]": -4}),
+    edited(q_mod_p2=0),
+    edited(ideal={**genuine_record()["ideal"], "q": 31}),
+    edited(ideal={**genuine_record()["ideal"], "modulus": ["5", "1"]}),
+    edited(ideal={**genuine_record()["ideal"], "modulus": "61"}),
 ], ids=["not-an-object", "truncated", "partial-without-cofactor", "no-sign", "list-sign",
-        "null-zeta", "null-x+y", "float-symbol", "float-q", "bool-y"])
+        "null-zeta", "null-x+y", "float-symbol", "float-q", "bool-y",
+        "element-exponent-plus-p", "zeta-exponent-plus-p", "negative-unit-exponent",
+        "q-mod-p2", "ideal-q", "ideal-modulus", "ideal-modulus-string"])
 def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     infile = write_lines(tmp_path / "bad.jsonl", [genuine_record(), bad])
     code, out, _ = run_cli(capsys, "verify", "--in", infile)
@@ -240,7 +249,8 @@ def test_parser_built_once_and_reused(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
-FUZZ_VALUES = [None, True, False, 1.5, -0.0, "", "x", "12a", "1e3", [], [1], {}, {"a": 1}, 2**70]
+FUZZ_VALUES = [None, True, False, 1.5, -0.0, "", "x", "12a", "1e3", [], [1], {}, {"a": 1}, 2**70,
+               1]  # 1: a well-formed value that is wrong in most fields
 
 
 def fuzz_records():

