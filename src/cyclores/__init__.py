@@ -68,7 +68,6 @@ from .powsym import (
     zeta_symbol,
 )
 from .regulab import (
-    BigRational,
     IrregularPair,
     VandiverWitness,
     bernoulli,

@@ -1,9 +1,14 @@
 """Regularity data for prime cyclotomic fields.
 
 Exact Bernoulli numbers, irregular pairs from the Bernoulli numbers
-modulo p, the relative class number h^- from an exact multi-modular
-evaluation of the analytic class number formula, and one-sided
+modulo p (one Newton inversion of a power series over F_p), the
+relative class number h^- reconstructed by CRT from its residues
+modulo word primes under an exact bound on h^- itself, and one-sided
 witnesses that a cyclotomic-unit eigencomponent is not a p-th power.
+
+Every function taking a prime p accepts only odd primes p < P_MAX = 2^20
+and raises ValueError otherwise, before it builds any table of about p
+entries.
 
 The witness search is one-sided by design: a nonzero residue symbol of
 the eigencomponent proves it is not a p-th power in the field, while an
@@ -17,7 +22,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import mul
 
 from .cycint import FieldCtx, InternalError, field_ctx
 from .ntheory import factorize, is_prime, primitive_root
@@ -25,7 +29,7 @@ from .powsym import residue_symbol
 from .resfield import PrimeIdealRep, ResElt, split_prime
 
 __all__ = [
-    "BigRational",
+    "P_MAX",
     "IrregularPair",
     "VandiverWitness",
     "bernoulli",
@@ -35,9 +39,13 @@ __all__ = [
     "eigencomponent_symbol",
 ]
 
-#: Exact rationals are plain :class:`fractions.Fraction` values
-#: (reduced, positive denominator — exactly the invariants needed).
-BigRational = Fraction
+#: Exclusive upper limit on the prime p accepted by this module.
+P_MAX = 1 << 20
+
+
+def _check_p(p: int) -> None:
+    if not 3 <= p < P_MAX or not is_prime(p):
+        raise ValueError(f"p={p} is not an odd prime below {P_MAX}")
 
 
 @dataclass(frozen=True)
@@ -84,23 +92,44 @@ def _bernoulli_mod_p(p: int) -> list[int]:
     """B_n mod p for 0 <= n <= p-3, all p-integral there (von Staudt-Clausen).
 
     Inverts (e^x - 1)/x = sum_i x^i/(i+1)! as a power series over F_p;
-    the inverse x/(e^x - 1) has coefficients B_n/n!.
+    the inverse x/(e^x - 1) has coefficients B_n/n!.  Newton iteration
+    doubles the precision of the inverse g each step: if f*g = 1 + x^k*e
+    mod x^(2k), then g - x^k*e*g is the inverse mod x^(2k).  Both
+    truncated products are Kronecker-packed integer products, and the
+    inverse factorials come from one modular inversion.
     """
     size = p - 2
     fact = [1] * (size + 1)
     for i in range(1, size + 1):
         fact[i] = fact[i - 1] * i % p
-    series = [pow(fact[i + 1], -1, p) for i in range(size)]
+    inv_fact = [1] * (size + 1)
+    inv_fact[size] = pow(fact[size], -1, p)
+    for i in range(size, 1, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    series = inv_fact[1:]
     inverse = [1]
-    for n in range(1, size):
-        inverse.append(-sum(map(mul, series[1 : n + 1], reversed(inverse))) % p)
-    return [c * fact[n] % p for n, c in enumerate(inverse)]
+    while len(inverse) < size:
+        k = len(inverse)
+        n = min(2 * k, size)
+        error = _mul_mod(series[:n], inverse, p)[k:n]
+        inverse += [-c % p for c in _mul_mod(inverse[: n - k], error, p)[: n - k]]
+    return [c * f % p for c, f in zip(inverse, fact)]
+
+
+def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Coefficients of a*b over F_p; a and b hold values in [0, p)."""
+    # every product coefficient is below min(len) * p^2 < 256^width
+    width = (2 * p.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    conv = (_pack(a, width) * _pack(b, width)).to_bytes(width * (len(a) + len(b)), "little")
+    return [
+        int.from_bytes(conv[i : i + width], "little") % p
+        for i in range(0, width * (len(a) + len(b) - 1), width)
+    ]
 
 
 def irregular_pairs(p: int) -> list[IrregularPair]:
     """All even k in [2, p-3] with p | numerator(B_k); empty iff p regular."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p={p} is not an odd prime")
+    _check_p(p)
     bern = _bernoulli_mod_p(p)
     return [IrregularPair(p, k) for k in range(2, p - 2, 2) if bern[k] == 0]
 
@@ -109,16 +138,23 @@ def h_minus(p: int) -> int:
     """Relative class number h^- of the p-th cyclotomic field, exactly.
 
     With m = (p-1)/2, g the least primitive root and
-    G(T) = sum_{t<m} (2*(g^t mod p) - p) T^t, the analytic class number
-    formula h^- = 2p * prod over odd characters chi of (-B_{1,chi}/2)
-    reads h^- = 2p * (-1)^m * P / (2p)^m with the rational integer
-    P = prod_{j odd} G(omega^j), omega a primitive (p-1)-th root of unity
-    (Washington, Introduction to Cyclotomic Fields, Thm 4.17).  P is
-    computed modulo word primes l = 1 (mod p-1) and combined by CRT until
-    the modulus exceeds twice the bound (sum |c_t|)^m on |P|.
+    G(T) = sum_{t<m} c_t T^t, c_t = 2*(g^t mod p) - p, the analytic class
+    number formula h^- = 2p * prod over odd characters chi of
+    (-B_{1,chi}/2) reads h^- = (-1)^m * P / (2p)^(m-1) with the rational
+    integer P = prod_{j odd} G(omega^j), omega a primitive (p-1)-th root
+    of unity (Washington, Introduction to Cyclotomic Fields, Thm 4.17).
+
+    P is evaluated modulo word primes l = 1 (mod p-1), and each residue
+    is turned into h^- mod l; CRT rebuilds h^- itself, never P.  It stops
+    once modulus^2 > S^m // (2p)^(2m-2), S = sum_t c_t^2.  That bound on
+    (h^-)^2 is exact: the m points omega^j, j odd, are the roots of
+    T^m = -1, so by Parseval over them (deg G < m) the |G(omega^j)|^2
+    sum to m*S, and AM-GM gives P^2 <= S^m.  Hence modulus > h^- and the
+    least nonnegative CRT value is h^-.  One spare prime guards the
+    evaluation: its residue must match the value, which must be
+    positive, or InternalError is raised.
     """
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p={p} is not an odd prime")
+    _check_p(p)
     n = p - 1
     m = n // 2
     g = primitive_root(p)
@@ -127,25 +163,25 @@ def h_minus(p: int) -> int:
     for _ in range(m):
         coeffs.append(2 * a - p)
         a = a * g % p
-    bound = 2 * sum(map(abs, coeffs)) ** m
+    bound = sum(c * c for c in coeffs) ** m // (2 * p) ** (2 * m - 2)
+    scale = (-1) ** m * (2 * p) ** (m - 1)
     n_factors = tuple(factorize(n))
     value, modulus = 0, 1
     ell = ((1 << 62) - 2) // n * n + 1
-    while modulus <= bound:
+    while True:
         ell -= n
         if not is_prime(ell):
             continue
-        r = _odd_character_product(coeffs, n, ell, n_factors)
-        # Garner step: keep value = P mod modulus, 0 <= value < modulus
+        r = _odd_character_product(coeffs, n, ell, n_factors) * pow(scale, -1, ell) % ell
+        if modulus * modulus > bound:
+            break
+        # Garner step: keep value = h^- mod modulus, 0 <= value < modulus
         t = (r - value) * pow(modulus % ell, -1, ell) % ell
         value += modulus * t
         modulus *= ell
-    if value > modulus // 2:
-        value -= modulus
-    h, rem = divmod(2 * p * (-1) ** m * value, (2 * p) ** m)
-    if rem or h <= 0:
-        raise InternalError(f"h^-({p}) evaluation is not a positive integer")
-    return h
+    if r != value % ell or value <= 0:
+        raise InternalError(f"h^-({p}) evaluation failed its spare-prime check")
+    return value
 
 
 def _odd_character_product(

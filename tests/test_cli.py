@@ -141,6 +141,9 @@ SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
 @pytest.mark.parametrize("argv", [
     ["irregular", "--p", 2],
     ["hminus", "--p", 2],
+    ["irregular", "--p", 2**61 - 1],
+    ["vandiver", "--p", 2**61 - 1, "--k", 2],
+    ["hminus", "--p", 2**61 - 1],
     ["split", "--p", 3, "--q", 7],
     ["split", "--p", 5, "--q", sympy.nextprime(2**64)],
     ["symbol", "--p", 5, "--q", 0, "--modulus", "1,2", "--alpha", "[1,0,0,0]"],
@@ -156,7 +159,8 @@ SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
     SYMBOL5 + ["--alpha", "[1.5,1,2,3]"],
     SYMBOL5 + ["--alpha", "[true,1,2,3]"],
     SYMBOL5 + ["--alpha", '"1234"'],
-], ids=["irregular-p2", "hminus-p2", "split-p3", "split-q-over-64-bits",
+], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
+        "vandiver-p-over-ceiling", "hminus-p-over-ceiling", "split-p3", "split-q-over-64-bits",
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
         "telescope-pmax4", "barlow-p4", "alpha-int", "alpha-null", "alpha-list",
         "alpha-float", "alpha-bool", "alpha-string"])

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from cyclores.cycint import cyc_mul, cyc_one, field_ctx, galois
+from cyclores import regulab
+from cyclores.cycint import InternalError, cyc_mul, cyc_one, field_ctx, galois
 from cyclores.cycunits import unit_minus
 from cyclores.ntheory import factorize, is_prime, primes_upto, primitive_root
 from cyclores.powsym import symbol
@@ -62,6 +64,47 @@ def h_minus_mod_direct(p, ell):
     return h
 
 
+def bernoulli_mod_p_recurrence(p):
+    """B_n mod p for n <= p-3 by the O(p^2) series-inversion recurrence:
+    the inverse of sum_i x^i/(i+1)! has coefficients B_n/n!."""
+    size = p - 2
+    fact = [1] * (size + 1)
+    for i in range(1, size + 1):
+        fact[i] = fact[i - 1] * i % p
+    series = [pow(fact[i + 1], -1, p) for i in range(size)]
+    inverse = [1]
+    for n in range(1, size):
+        inverse.append(-sum(map(mul, series[1 : n + 1], reversed(inverse))) % p)
+    return [c * fact[n] % p for n, c in enumerate(inverse)]
+
+
+def odd_character_coeffs(p):
+    """c_t = 2*(g^t mod p) - p for t < (p-1)/2, g the least primitive root."""
+    g = primitive_root(p)
+    return [2 * pow(g, t, p) - p for t in range((p - 1) // 2)]
+
+
+def h_minus_full_product(p):
+    """h^- by rebuilding P = prod_{j odd} G(omega^j) itself: CRT against
+    the bound 2 (sum |c_t|)^m on |P|, then exact division by (2p)^m."""
+    n = p - 1
+    m = n // 2
+    coeffs = odd_character_coeffs(p)
+    bound = 2 * sum(map(abs, coeffs)) ** m
+    n_factors = tuple(factorize(n))
+    value, modulus = 0, 1
+    for ell in primes_one_mod(n, 1 << 40, bound.bit_length() // 40 + 1):
+        r = regulab._odd_character_product(coeffs, n, ell, n_factors)
+        value += modulus * ((r - value) * pow(modulus, -1, ell) % ell)
+        modulus *= ell
+    assert modulus > bound
+    if value > modulus // 2:
+        value -= modulus
+    h, rem = divmod(2 * p * (-1) ** m * value, (2 * p) ** m)
+    assert rem == 0 and h > 0
+    return h
+
+
 def primes_one_mod(n, start, count):
     out, ell = [], start // n * n + 1
     while len(out) < count:
@@ -106,6 +149,11 @@ def test_irregular_pairs():
         irregular_pairs(9)
 
 
+def test_bernoulli_mod_p_matches_recurrence():
+    for p in primes_upto(600)[1:]:
+        assert regulab._bernoulli_mod_p(p) == bernoulli_mod_p_recurrence(p), p
+
+
 def test_irregular_pairs_match_exact_bernoulli():
     for p in primes_upto(200)[1:]:
         expected = [k for k in range(2, p - 2, 2) if bernoulli(k).numerator % p == 0]
@@ -133,6 +181,40 @@ def test_h_minus_mod_direct_character_product():
         h = h_minus(p)
         for ell in primes_one_mod(p - 1, 1 << 62, 2):
             assert h % ell == h_minus_mod_direct(p, ell), (p, ell)
+
+
+def test_h_minus_matches_full_product_reconstruction():
+    for p in primes_upto(300)[1:]:
+        assert h_minus(p) == h_minus_full_product(p), p
+
+
+def test_h_minus_within_parseval_bound():
+    for p in primes_upto(467)[1:]:
+        m = (p - 1) // 2
+        s = sum(c * c for c in odd_character_coeffs(p))
+        assert h_minus(p) ** 2 <= s**m // (2 * p) ** (2 * m - 2), p
+
+
+@pytest.mark.parametrize("wrong_call", ["first", "spare"])
+def test_h_minus_spare_prime_catches_a_wrong_residue(monkeypatch, wrong_call):
+    exact = regulab._odd_character_product
+    ells = []
+
+    def spy(coeffs, n, ell, n_factors):
+        ells.append(ell)
+        return exact(coeffs, n, ell, n_factors)
+
+    monkeypatch.setattr(regulab, "_odd_character_product", spy)
+    assert h_minus(101) == H_MINUS_A000927[101]
+    bad_ell = ells[0] if wrong_call == "first" else ells[-1]
+
+    def corrupt(coeffs, n, ell, n_factors):
+        r = exact(coeffs, n, ell, n_factors)
+        return (r + 1) % ell if ell == bad_ell else r
+
+    monkeypatch.setattr(regulab, "_odd_character_product", corrupt)
+    with pytest.raises(InternalError):
+        h_minus(101)
 
 
 def test_kummer_criterion_small():
