@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 
-from .cycint import cyc_from_json, field_ctx
+from .cycint import P_MAX, cyc_from_json, field_ctx
 from .cycunits import (
     inv_one_plus_zeta,
     unit_minus,
@@ -286,8 +286,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_telescope(args) -> int:
-    if args.pmax < 5:
-        raise UsageError("--pmax must be at least 5")
+    if not 5 <= args.pmax < P_MAX:
+        raise UsageError(f"--pmax must be in [5, {P_MAX})")
     checked = []
     all_match = True
     for p in range(5, args.pmax + 1):

@@ -19,17 +19,20 @@ into native multi-word arithmetic.  All values are immutable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .ntheory import is_prime, primitive_root
 
 __all__ = [
+    "P_MAX",
     "ContextMismatchError",
     "InternalError",
+    "Frozen",
     "FieldCtx",
     "CycInt",
     "GaloisElt",
+    "check_p",
     "field_ctx",
     "cyc_new",
     "cyc_add",
@@ -50,6 +53,16 @@ __all__ = [
 #: 1 <= k <= p-1 (any k not divisible by p is folded into that range).
 GaloisElt = int
 
+#: Exclusive upper limit on the prime p of any field this package builds;
+#: tables of about p entries are cheap below it.
+P_MAX = 1 << 20
+
+
+def check_p(p: int) -> None:
+    """Raise ValueError unless p is an odd prime below P_MAX."""
+    if not 3 <= p < P_MAX or not is_prime(p):
+        raise ValueError(f"p={p} is not an odd prime below {P_MAX}")
+
 
 class ContextMismatchError(ValueError):
     """Operands belong to different cyclotomic fields."""
@@ -59,19 +72,60 @@ class InternalError(RuntimeError):
     """An arithmetic invariant failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in ``_fields`` and sets them in
+    ``__init__`` through ``object.__setattr__``; afterwards every
+    assignment raises AttributeError.  Instances of one class compare
+    and hash by their field values, in order, and are pickled and
+    copied by calling the constructor on those values.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        # a plain callable, not a method: called as self._values(self)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__name__}({args})"
+
+
+class FieldCtx(Frozen):
     """Context of the p-th cyclotomic field: p and the inverse of 2 mod p."""
 
+    __slots__ = _fields = ("p", "inv2")
     p: int
     inv2: int
 
-    def __post_init__(self):
-        p = self.p
-        if p <= 3 or p.bit_length() > 62 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime > 3 in a machine word, got {p}")
-        if 2 * self.inv2 % p != 1:
+    def __init__(self, p: int, inv2: int):
+        check_p(p)
+        if p == 3:
+            raise ValueError("the field needs p > 3")
+        if 2 * inv2 % p != 1:
             raise ValueError("inv2 is not the inverse of 2 mod p")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "inv2", inv2)
 
 
 def field_ctx(p: int) -> FieldCtx:
@@ -79,19 +133,21 @@ def field_ctx(p: int) -> FieldCtx:
     return FieldCtx(p, (p + 1) // 2)
 
 
-@dataclass(frozen=True)
-class CycInt:
+class CycInt(Frozen):
     """Element of Z[zeta] in canonical form.
 
     ``coeffs[i]`` is the coefficient of zeta^i, 0 <= i <= p-2.
     """
 
+    __slots__ = _fields = ("ctx", "coeffs")
     ctx: FieldCtx
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.ctx.p - 1:
+    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
+        if len(coeffs) != ctx.p - 1:
             raise ValueError("coefficient vector must have length p-1")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -38,12 +38,14 @@ edited JSON records fail soft.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cycint import (
     FieldCtx,
+    Frozen,
     InternalError,
+    check_p,
     cyc_int,
     cyc_new,
     field_ctx,
@@ -89,8 +91,7 @@ _SIGN_NAME = {PLUS: "plus", MINUS: "minus"}
 _SIGN_VALUE = {"plus": PLUS, "minus": MINUS}
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """One prime q dividing (x^p + s y^p)/(x + s y), with its symbol table."""
 
     p: int
@@ -104,8 +105,7 @@ class ScanRecord:
     symbols: dict[str, int | None]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Frozen):
     """Scan output: records in increasing q, plus any unfactored leftover.
 
     ``unfactored_cofactor`` is None when the factorization completed; a
@@ -113,8 +113,13 @@ class ScanResult:
     rather than silently dropped.
     """
 
+    __slots__ = _fields = ("records", "unfactored_cofactor")
     records: tuple[ScanRecord, ...]
-    unfactored_cofactor: int | None = None
+    unfactored_cofactor: int | None
+
+    def __init__(self, records: tuple[ScanRecord, ...], unfactored_cofactor: int | None = None):
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "unfactored_cofactor", unfactored_cofactor)
 
     def __iter__(self):
         return iter(self.records)
@@ -237,8 +242,7 @@ def _build_record(
     )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Residue-congruence check x + zeta^k y = x(1 -+ zeta^(k+1)) per k."""
 
     q: int
@@ -257,8 +261,7 @@ def verify_congruences(rec: ScanRecord) -> CongruenceReport:
     return CongruenceReport(q=q, per_k=per_k, ok=all(per_k.values()))
 
 
-@dataclass(frozen=True)
-class SymbolIdentityReport:
+class SymbolIdentityReport(NamedTuple):
     """Per-k outcome of the generalized symbol identity on a record.
 
     per_k values are "ok", "fail" or "skipped".  ``specialization`` holds
@@ -335,8 +338,7 @@ def conjugate_symmetry_report(rec: ScanRecord) -> dict[int, bool | None]:
     return out
 
 
-@dataclass(frozen=True)
-class TelescopeReport:
+class TelescopeReport(NamedTuple):
     """Replayed telescoping chains versus their closed forms.
 
     even_chain[k'] is the accumulated zeta-exponent of the plus-family
@@ -405,15 +407,13 @@ def _replay_minus_chains(p: int) -> bool:
     return len(exp) == p - 1 and not any(exp.values())
 
 
-@dataclass(frozen=True)
-class BarlowCheck:
+class BarlowCheck(NamedTuple):
     name: str
     holds: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class BarlowAbelReport:
+class BarlowAbelReport(NamedTuple):
     p: int
     x: int
     y: int
@@ -427,8 +427,7 @@ def barlow_abel_check(p: int, x: int, y: int, z: int) -> BarlowAbelReport:
     No genuine integer solution of x^p + y^p + z^p = 0 exists, so this
     documents and exercises the relation checkers on synthetic inputs.
     """
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p={p} is not an odd prime")
+    check_p(p)
     if x == 0 or y == 0 or z == 0:
         raise ValueError("x, y, z must be nonzero")
     checks = []
@@ -467,8 +466,7 @@ def barlow_abel_check(p: int, x: int, y: int, z: int) -> BarlowAbelReport:
     return BarlowAbelReport(p=p, x=x, y=y, z=z, checks=tuple(checks))
 
 
-@dataclass(frozen=True)
-class FurtwanglerReport:
+class FurtwanglerReport(NamedTuple):
     """Congruence/symbol bookkeeping on one record.
 
     ``consistency_ok`` asserts zeta-symbol = 0 iff p^2 | q-1.  The

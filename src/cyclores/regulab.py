@@ -7,8 +7,8 @@ modulo word primes under an exact bound on h^- itself, and one-sided
 witnesses that a cyclotomic-unit eigencomponent is not a p-th power.
 
 Every function taking a prime p accepts only odd primes p < P_MAX = 2^20
-and raises ValueError otherwise, before it builds any table of about p
-entries.
+(``cycint.check_p``) and raises ValueError otherwise, before it builds
+any table of about p entries.
 
 The witness search is one-sided by design: a nonzero residue symbol of
 the eigencomponent proves it is not a p-th power in the field, while an
@@ -19,17 +19,18 @@ failure of Vandiver's conjecture.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cycint import FieldCtx, InternalError, field_ctx
+from .cycint import FieldCtx, InternalError, check_p, field_ctx
 from .ntheory import factorize, is_prime, primitive_root
 from .powsym import residue_symbol
 from .resfield import PrimeIdealRep, ResElt, split_prime
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
-    "P_MAX",
     "IrregularPair",
     "VandiverWitness",
     "bernoulli",
@@ -39,25 +40,15 @@ __all__ = [
     "eigencomponent_symbol",
 ]
 
-#: Exclusive upper limit on the prime p accepted by this module.
-P_MAX = 1 << 20
 
-
-def _check_p(p: int) -> None:
-    if not 3 <= p < P_MAX or not is_prime(p):
-        raise ValueError(f"p={p} is not an odd prime below {P_MAX}")
-
-
-@dataclass(frozen=True)
-class IrregularPair:
+class IrregularPair(NamedTuple):
     """(p, k): even k in [2, p-3] with p dividing the numerator of B_k."""
 
     p: int
     k: int
 
 
-@dataclass(frozen=True)
-class VandiverWitness:
+class VandiverWitness(NamedTuple):
     """Certificate (q, w, e): at the degree-1 ideal of root w above q the
     k-eigencomponent of the cyclotomic units has symbol exponent e != 0."""
 
@@ -67,7 +58,7 @@ class VandiverWitness:
     e: int
 
 
-_bern: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+_bern: list[Fraction] = []
 _bern_lock = threading.Lock()
 
 
@@ -75,12 +66,18 @@ def bernoulli(n: int) -> Fraction:
     """Exact B_n (convention B_1 = -1/2) via the binomial recurrence.
 
     sum_{j=0}^{n} C(n+1, j) B_j = 0 with B_0 = 1; results are memoized.
+    ``fractions`` is imported on the first call, not with the package:
+    nothing else here needs it, and importing it costs every process.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if n < len(_bern):
         return _bern[n]
+    from fractions import Fraction
+
     with _bern_lock:
+        if not _bern:
+            _bern.append(Fraction(1))
         while len(_bern) <= n:
             m = len(_bern)
             s = sum(comb(m + 1, j) * _bern[j] for j in range(m))
@@ -129,7 +126,7 @@ def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
 
 def irregular_pairs(p: int) -> list[IrregularPair]:
     """All even k in [2, p-3] with p | numerator(B_k); empty iff p regular."""
-    _check_p(p)
+    check_p(p)
     bern = _bernoulli_mod_p(p)
     return [IrregularPair(p, k) for k in range(2, p - 2, 2) if bern[k] == 0]
 
@@ -154,7 +151,7 @@ def h_minus(p: int) -> int:
     evaluation: its residue must match the value, which must be
     positive, or InternalError is raised.
     """
-    _check_p(p)
+    check_p(p)
     n = p - 1
     m = n // 2
     g = primitive_root(p)

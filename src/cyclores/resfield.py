@@ -22,11 +22,10 @@ length f with entries in [0, q).  Everything here is immutable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .cycint import ContextMismatchError, CycInt, FieldCtx, InternalError
+from .cycint import ContextMismatchError, CycInt, FieldCtx, Frozen, InternalError
 from .ntheory import is_prime, multiplicative_order
 
 __all__ = [
@@ -47,8 +46,7 @@ class ResidueDegreeError(ValueError):
     """No ideal of the required residue degree exists above q."""
 
 
-@dataclass(frozen=True)
-class PrimeIdealRep:
+class PrimeIdealRep(Frozen):
     """A prime ideal of Z[zeta] above the rational prime q.
 
     ``modulus`` is the monic irreducible degree-f factor of the p-th
@@ -58,12 +56,19 @@ class PrimeIdealRep:
     F_q[t]/(field_modulus).
     """
 
+    # no __slots__: the cached properties live in the instance __dict__
+    _fields = ("ctx", "q", "f", "w", "modulus", "field_modulus")
     ctx: FieldCtx
     q: int
     f: int
     w: int | tuple[int, ...]
     modulus: tuple[int, ...]
-    field_modulus: tuple[int, ...] | None = None
+    field_modulus: tuple[int, ...] | None
+
+    def __init__(self, ctx: FieldCtx, q: int, f: int, w: int | tuple[int, ...],
+                 modulus: tuple[int, ...], field_modulus: tuple[int, ...] | None = None):
+        for name, value in zip(self._fields, (ctx, q, f, w, modulus, field_modulus)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def euler_exponent(self) -> int:
@@ -89,12 +94,16 @@ class PrimeIdealRep:
         return {v: e for e, v in enumerate(self.w_powers)}
 
 
-@dataclass(frozen=True)
-class ResElt:
+class ResElt(Frozen):
     """Residue of an element modulo a prime ideal: a point of F_{q^f}."""
 
+    __slots__ = _fields = ("ideal", "value")
     ideal: PrimeIdealRep
     value: tuple[int, ...]
+
+    def __init__(self, ideal: PrimeIdealRep, value: tuple[int, ...]):
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "value", value)
 
     def is_zero(self) -> bool:
         return not any(self.value)

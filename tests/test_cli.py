@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
 
+import cyclores
 from cyclores import cli
 from cyclores.cli import run
 from cyclores.cycint import InternalError, field_ctx
@@ -20,6 +25,24 @@ def one_json(out):
     lines = out.splitlines()
     assert len(lines) == 1
     return json.loads(lines[0])
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # each request runs in a fresh process, which pays for every module
+    # the import pulls in; nothing on that path needs these four
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cyclores.cli\n"
+        "heavy = {'dataclasses', 'fractions', 'inspect', 'decimal'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(cyclores.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_hminus(capsys):
@@ -153,6 +176,11 @@ SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
     SCAN5 + ["--jobs", 2],
     ["telescope", "--pmax", 4],
     ["barlow", "--p", 4, "--x", 1, "--y", 2, "--z", 3],
+    ["scan", "--p", 2**61 - 1, "--x", 2, "--y", 1, "--sign", "plus"],
+    ["units", "--p", 2**61 - 1],
+    ["split", "--p", 2**61 - 1, "--q", 4611686018427387847],
+    ["barlow", "--p", 2**61 - 1, "--x", 1, "--y", 2, "--z", 3],
+    ["telescope", "--pmax", 2**61 - 1],
     SYMBOL5 + ["--alpha", "5"],
     SYMBOL5 + ["--alpha", "[null,1,2,3]"],
     SYMBOL5 + ["--alpha", "[[1],1,2,3]"],
@@ -162,7 +190,9 @@ SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
 ], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
         "vandiver-p-over-ceiling", "hminus-p-over-ceiling", "split-p3", "split-q-over-64-bits",
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
-        "telescope-pmax4", "barlow-p4", "alpha-int", "alpha-null", "alpha-list",
+        "telescope-pmax4", "barlow-p4", "scan-p-over-ceiling", "units-p-over-ceiling",
+        "split-p-over-ceiling", "barlow-p-over-ceiling", "telescope-pmax-over-ceiling",
+        "alpha-int", "alpha-null", "alpha-list",
         "alpha-float", "alpha-bool", "alpha-string"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
     argv = [str(a).replace("{missing}", str(tmp_path / "absent")) for a in argv]

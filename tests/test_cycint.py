@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclores.cycint import (
+    P_MAX,
     ContextMismatchError,
     CycInt,
     coeffs_to_json,
@@ -18,6 +19,7 @@ from cyclores.cycint import (
     norm,
     zeta_power,
 )
+from cyclores.ntheory import is_prime
 
 CTX5 = field_ctx(5)
 CTX7 = field_ctx(7)
@@ -50,6 +52,12 @@ def test_field_ctx_validation():
         field_ctx(3)
     with pytest.raises(ValueError):
         field_ctx(2)
+    below = max(n for n in range(P_MAX - 64, P_MAX) if is_prime(n))
+    above = min(n for n in range(P_MAX, P_MAX + 64) if is_prime(n))
+    assert field_ctx(below).p == below
+    for p in (above, 2**61 - 1):
+        with pytest.raises(ValueError):
+            field_ctx(p)
 
 
 def test_cyc_new_examples():

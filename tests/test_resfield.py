@@ -1,11 +1,12 @@
 import json
+import pickle
 import random
 
 import pytest
 from sympy import GF, Poly, symbols
 
 from cyclores.cycint import CycInt, cyc_new, cyc_zero, field_ctx
-from cyclores.cycunits import unit_minus
+from cyclores.cycunits import inv_one_plus_zeta, unit_minus
 from cyclores.ntheory import is_prime, multiplicative_order
 from cyclores.resfield import (
     ResidueDegreeError,
@@ -34,6 +35,39 @@ def test_split_examples_p5():
     ideals = split_prime(CTX5, 7)
     assert len(ideals) == 1 and ideals[0].f == 4
     assert ideals[0].modulus == (1, 1, 1, 1, 1)
+
+
+def test_value_semantics_the_caches_rely_on():
+    # split_prime and inv_one_plus_zeta are memoized on FieldCtx
+    # arguments that callers build afresh, so equal values must compare
+    # and hash equal, and no value may change after it is built
+    ctx, again = field_ctx(11), field_ctx(11)
+    assert ctx is not again and ctx == again and hash(ctx) == hash(again)
+    assert ctx != field_ctx(13) and ctx != (11, 6)
+    split_prime.cache_clear()
+    ideals = split_prime(ctx, 23)
+    assert split_prime(again, 23) is ideals
+    assert split_prime.cache_info().hits == 1
+    inv_one_plus_zeta.cache_clear()
+    assert inv_one_plus_zeta(again) is inv_one_plus_zeta(ctx)
+    assert inv_one_plus_zeta.cache_info().hits == 1
+
+    a = CycInt(ctx, tuple(range(10)))
+    b = CycInt(again, tuple(range(10)))
+    assert a == b and hash(a) == hash(b) and a != CycInt(ctx, (0,) * 10)
+    ideal = ideals[0]
+    same = ideal_from_root(again, 23, ideal.w)
+    assert ideal is not same and ideal == same and hash(ideal) == hash(same)
+    assert ideal != ideals[1]
+    ra, rb = residue(a, ideal), residue(b, same)
+    assert ra == rb and hash(ra) == hash(rb)
+    for value in (ctx, a, ideal, ra):
+        assert pickle.loads(pickle.dumps(value)) == value
+    for value, name in ((ctx, "p"), (a, "coeffs"), (ideal, "q"), (ra, "value")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
 
 
 def test_split_rejects_bad_q():
