@@ -35,6 +35,8 @@ from .cycint import (
 )
 from .cycunits import (
     inv_one_plus_zeta,
+    inv_unit_minus,
+    inv_unit_plus,
     unit_minus,
     unit_plus,
     unit_product_check,

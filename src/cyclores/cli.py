@@ -21,14 +21,23 @@ import functools
 import json
 import sys
 
-from .cycint import P_MAX, cyc_from_json, field_ctx
+from .cycint import (
+    coeffs_to_json,
+    cyc_from_json,
+    cyc_mul,
+    cyc_new,
+    cyc_one,
+    field_ctx,
+    int_to_decimal,
+)
 from .cycunits import (
     inv_one_plus_zeta,
+    inv_unit_minus,
+    inv_unit_plus,
     unit_minus,
     unit_plus,
     unit_product_check,
 )
-from .cycint import coeffs_to_json, cyc_mul, cyc_new, cyc_one, galois, norm
 from .fltharness import (
     _SIGN_VALUE,
     ScanRecord,
@@ -47,7 +56,15 @@ from .powsym import symbol
 from .regulab import h_minus, irregular_pairs, vandiver_witness
 from .resfield import ideal_from_modulus, ideal_from_root, ideal_to_json, split_prime
 
-__all__ = ["run", "main", "UsageError"]
+__all__ = ["run", "main", "UsageError", "UNITS_P_MAX", "TELESCOPE_P_MAX"]
+
+# Exclusive ceilings for the two commands whose running time, not
+# memory, outgrows cycint.P_MAX.  units --p does about p^3 coefficient
+# work and prints about 2p^2 numbers; telescope --pmax replays O(p)
+# steps for each prime up to pmax.  Either takes 10-20 s on a 2-core
+# x86-64 machine (CPython 3.11) just below its ceiling.
+UNITS_P_MAX = 1 << 10
+TELESCOPE_P_MAX = 1 << 14
 
 
 class UsageError(Exception):
@@ -152,27 +169,38 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_units(args) -> int:
+    """Print both unit tables and check their identities; exit 2 if one fails.
+
+    Each table is built once.  "norms_unit" multiplies every unit by its
+    closed-form inverse (see ``cycunits``): a product equal to 1 exhibits
+    the unit's inverse, so its norm, a multiplicative integer, is +-1,
+    and it fails for any element other than the unit the inverse
+    belongs to.  Those 2(p-1) dense products and the product tree of
+    ``unit_product_check`` cost about p^3, hence UNITS_P_MAX.
+    """
+    if not args.p < UNITS_P_MAX:
+        raise UsageError(f"units needs p < {UNITS_P_MAX}")
     ctx = field_ctx(args.p)
     p = ctx.p
-    minus = {str(a): coeffs_to_json(unit_minus(ctx, a)) for a in range(1, p)}
-    plus = {str(a): coeffs_to_json(unit_plus(ctx, a)) for a in range(1, p)}
+    one = cyc_one(ctx)
+    minus = [unit_minus(ctx, a) for a in range(1, p)]
+    plus = [unit_plus(ctx, a) for a in range(1, p)]
     checks = {
-        "minus_antisymmetry": all(
-            unit_minus(ctx, a) == -unit_minus(ctx, p - a) for a in range(1, p)
-        ),
-        "plus_symmetry": all(
-            unit_plus(ctx, a) == unit_plus(ctx, p - a) for a in range(1, p)
-        ),
+        "minus_antisymmetry": all(u == -v for u, v in zip(minus, reversed(minus))),
+        "plus_symmetry": plus == plus[::-1],
         "norms_unit": all(
-            norm(unit_minus(ctx, a)) in (1, -1) and norm(unit_plus(ctx, a)) in (1, -1)
-            for a in range(1, p)
+            cyc_mul(u, inv_unit_minus(ctx, a)) == one and cyc_mul(v, inv_unit_plus(ctx, a)) == one
+            for a, (u, v) in enumerate(zip(minus, plus), 1)
         ),
-        "product_identity": unit_product_check(ctx),
-        "inverse_check": cyc_mul(
-            cyc_new(ctx, [(0, 1), (1, 1)]), inv_one_plus_zeta(ctx)
-        ) == cyc_one(ctx),
+        "product_identity": unit_product_check(ctx, plus),
+        "inverse_check": cyc_mul(cyc_new(ctx, [(0, 1), (1, 1)]), inv_one_plus_zeta(ctx)) == one,
     }
-    _emit({"p": p, "minus": minus, "plus": plus, "checks": checks})
+    _emit({
+        "p": p,
+        "minus": {str(a): coeffs_to_json(u) for a, u in enumerate(minus, 1)},
+        "plus": {str(a): coeffs_to_json(u) for a, u in enumerate(plus, 1)},
+        "checks": checks,
+    })
     return 0 if all(checks.values()) else 2
 
 
@@ -184,7 +212,7 @@ def _cmd_irregular(args) -> int:
 
 def _cmd_hminus(args) -> int:
     value = h_minus(args.p)
-    _emit({"p": args.p, "h_minus": str(value)})
+    _emit({"p": args.p, "h_minus": int_to_decimal(value)})
     return 0
 
 
@@ -212,7 +240,7 @@ def _cmd_scan(args) -> int:
             "x": args.x,
             "y": args.y,
             "sign": args.sign,
-            "unfactored_cofactor": str(result.unfactored_cofactor),
+            "unfactored_cofactor": int_to_decimal(result.unfactored_cofactor),
         }))
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
@@ -286,8 +314,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_telescope(args) -> int:
-    if not 5 <= args.pmax < P_MAX:
-        raise UsageError(f"--pmax must be in [5, {P_MAX})")
+    if not 5 <= args.pmax < TELESCOPE_P_MAX:
+        raise UsageError(f"--pmax must be in [5, {TELESCOPE_P_MAX})")
     checked = []
     all_match = True
     for p in range(5, args.pmax + 1):

@@ -47,6 +47,7 @@ __all__ = [
     "coeffs_to_json",
     "cyc_from_json",
     "int_from_json",
+    "int_to_decimal",
 ]
 
 #: Automorphisms zeta -> zeta^k are addressed by the plain integer k,
@@ -356,9 +357,37 @@ def coeffs_to_json(a: CycInt) -> list[str]:
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
+# Digits converted by one str() or int() call.  CPython refuses longer
+# conversions past a per-interpreter limit (4300 digits by default, 640
+# at the least; sys.set_int_max_str_digits), which is the caller's to
+# set, so bigger values are split by powers of ten instead.
+_CHUNK_DIGITS = 512
+_CHUNK_BITS = 1700  # 2^1700 < 10^512
+_LOG10_2 = 0.30102999566398120
+
+
+def int_to_decimal(n: int) -> str:
+    """Decimal string of an int of any size, exactly as str() writes it."""
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    half = int(n.bit_length() * _LOG10_2) // 2  # 10^half <= n
+    hi, lo = divmod(n, 10**half)
+    return int_to_decimal(hi) + int_to_decimal(lo).rjust(half, "0")
+
+
+def _int_from_decimal(digits: str) -> int:
+    """The int spelled by a string of decimal digits, of any length."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_from_decimal(digits[:-half]) * 10**half + _int_from_decimal(digits[-half:])
+
 
 def int_from_json(value: object) -> int:
-    """An integer read from JSON: an int (not a bool) or a decimal string.
+    """An integer read from JSON: an int (not a bool) or a decimal string
+    of any length (see ``int_to_decimal``).
 
     Anything else (null, a bool, a float, another string, a list or an
     object) raises ValueError instead of being truncated or coerced.
@@ -366,7 +395,9 @@ def int_from_json(value: object) -> int:
     if type(value) is int:
         return value
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+        if value[0] == "-":
+            return -_int_from_decimal(value[1:])
+        return _int_from_decimal(value)
     raise ValueError(f"not an integer: {value!r}")
 
 

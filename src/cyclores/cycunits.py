@@ -1,4 +1,4 @@
-"""Totally real cyclotomic units and their exact identities.
+"""Totally real cyclotomic units, their inverses and their exact identities.
 
 Two one-parameter families over Z[zeta], indexed by 1 <= a <= p-1:
 
@@ -14,89 +14,102 @@ complex conjugation, with
     unit_plus(p-a) = unit_plus(a),
 
 and the exact product identity checked by :func:`unit_product_check`.
-The quotient (1 - zeta^a)/(1 - zeta) is a geometric sum, so no division
-ever happens; the plus family needs the inverse of the unit 1 + zeta,
-solved once per field and cached.
+
+Every unit and every inverse is a signed geometric sum of at most 2p
+powers of zeta (Washington, Introduction to Cyclotomic Fields, Lemma
+1.3), so nothing is divided, solved or multiplied out.  For b odd,
+
+    (1 - zeta^a) / (1 - zeta) = sum_{i<a} zeta^i,
+    (1 + zeta^b) / (1 + zeta) = sum_{i<b} (-zeta)^i,
+
+and an even a in the plus family is read as a + p, since zeta^a =
+zeta^(a+p).  With c = a^(-1) mod p, zeta = (zeta^a)^c gives the
+inverses the same way:
+
+    (1 - zeta) / (1 - zeta^a) = sum_{i<c} zeta^(a i),
+    (1 + zeta) / (1 + zeta^a) = sum_{i<c'} (-zeta^a)^i,
+
+c' being whichever of c and c + p is odd.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import cycle
+from typing import Sequence
 
-from .cycint import (
-    CycInt,
-    FieldCtx,
-    InternalError,
-    cyc_mul,
-    cyc_new,
-    cyc_one,
-    zeta_power,
-)
+from .cycint import CycInt, FieldCtx, cyc_mul, cyc_new, zeta_power
 
 __all__ = [
     "unit_minus",
     "unit_plus",
+    "inv_unit_minus",
+    "inv_unit_plus",
     "inv_one_plus_zeta",
     "unit_product_check",
 ]
 
 
-def _check_index(ctx: FieldCtx, a: int) -> None:
+def _shift(ctx: FieldCtx, a: int) -> int:
+    """(1-a)/2 mod p, after checking 1 <= a <= p-1."""
     if not 1 <= a <= ctx.p - 1:
         raise ValueError(f"unit index must satisfy 1 <= a <= p-1, got {a}")
+    return (1 - a) * ctx.inv2 % ctx.p
+
+
+def _odd(n: int, p: int) -> int:
+    """n or n + p, whichever is odd (p is odd)."""
+    return n if n % 2 else n + p
+
+
+def _geometric(ctx: FieldCtx, shift: int, step: int, count: int, sign: int) -> CycInt:
+    """zeta^shift * sum_{i<count} (sign * zeta^step)^i, sign = +-1."""
+    return cyc_new(ctx, zip(range(shift, shift + step * count, step), cycle((1, sign))))
 
 
 def unit_minus(ctx: FieldCtx, a: int) -> CycInt:
     """zeta^((1-a)/2) * (1 + zeta + ... + zeta^(a-1)), exactly."""
-    _check_index(ctx, a)
-    shift = (1 - a) * ctx.inv2 % ctx.p
-    return cyc_new(ctx, [(shift + i, 1) for i in range(a)])
+    return _geometric(ctx, _shift(ctx, a), 1, a, 1)
+
+
+def unit_plus(ctx: FieldCtx, a: int) -> CycInt:
+    """zeta^((1-a)/2) * (1 - zeta + zeta^2 - ... + zeta^(b-1)), exactly,
+    b = a for odd a and a + p for even a."""
+    return _geometric(ctx, _shift(ctx, a), 1, _odd(a, ctx.p), -1)
+
+
+def inv_unit_minus(ctx: FieldCtx, a: int) -> CycInt:
+    """Inverse of unit_minus(a): zeta^((a-1)/2) * sum_{i<c} zeta^(a i),
+    c = a^(-1) mod p."""
+    return _geometric(ctx, -_shift(ctx, a), a, pow(a, -1, ctx.p), 1)
+
+
+def inv_unit_plus(ctx: FieldCtx, a: int) -> CycInt:
+    """Inverse of unit_plus(a): zeta^((a-1)/2) * sum_{i<c'} (-zeta^a)^i,
+    c' the odd one of c and c + p, c = a^(-1) mod p."""
+    return _geometric(ctx, -_shift(ctx, a), a, _odd(pow(a, -1, ctx.p), ctx.p), -1)
 
 
 @lru_cache(maxsize=None)
 def inv_one_plus_zeta(ctx: FieldCtx) -> CycInt:
-    """Exact inverse of the unit 1 + zeta, by solving (1+zeta)u = 1 over Z.
-
-    After eliminating zeta^(p-1) the linear system is bidiagonal: with
-    d = c_{p-2} the coefficients obey c_0 = 1 + d and c_i = d - c_{i-1},
-    and the closure c_{p-2} = d pins d.  Every c_i is affine in d, so one
-    forward pass plus one exact division solves the system.
-    """
-    p = ctx.p
-    alpha = [0] * (p - 1)
-    beta = [0] * (p - 1)
-    alpha[0], beta[0] = 1, 1
-    for i in range(1, p - 1):
-        alpha[i] = -alpha[i - 1]
-        beta[i] = 1 - beta[i - 1]
-    den = 1 - beta[p - 2]
-    if den == 0 or alpha[p - 2] % den:
-        raise InternalError("inverse of 1+zeta: closure equation is not solvable")
-    d = alpha[p - 2] // den
-    u = CycInt(ctx, tuple(alpha[i] + beta[i] * d for i in range(p - 1)))
-    if cyc_mul(cyc_new(ctx, [(0, 1), (1, 1)]), u) != cyc_one(ctx):
-        raise InternalError("inverse of 1+zeta failed its defining equation")
-    return u
+    """Exact inverse of the unit 1 + zeta: (1 - zeta) / (1 - zeta^2), that
+    is 1 + zeta^2 + zeta^4 + ... + zeta^(p-1), since 2^(-1) = (p+1)/2."""
+    return _geometric(ctx, 0, 2, ctx.inv2, 1)
 
 
-def unit_plus(ctx: FieldCtx, a: int) -> CycInt:
-    """zeta^((1-a)/2) * (1 + zeta^a) * (1 + zeta)^(-1), exactly."""
-    _check_index(ctx, a)
-    shift = (1 - a) * ctx.inv2 % ctx.p
-    numer = cyc_new(ctx, [(shift, 1), (shift + a, 1)])
-    return cyc_mul(numer, inv_one_plus_zeta(ctx))
-
-
-def unit_product_check(ctx: FieldCtx) -> bool:
-    """Exact identity: prod_a unit_plus(a) * (1+zeta)^(p-1) = zeta^(-1/2).
+def unit_product_check(ctx: FieldCtx, plus: Sequence[CycInt]) -> bool:
+    """Exact identity: prod_a unit_plus(a) * (1+zeta)^(p-1) = zeta^(-1/2),
+    checked on the table ``plus`` = [unit_plus(1), ..., unit_plus(p-1)].
 
     The exponent -1/2 is -inv2 mod p.  (In symbol form the zeta factor
-    disappears whenever the zeta-symbol is trivial.)
+    disappears whenever the zeta-symbol is trivial.)  Each factor
+    unit_plus(a) * (1+zeta) is multiplied out, then the p-1 factors are
+    multiplied in a balanced tree, so operands grow together instead of
+    one dense product growing by one factor a step.
     """
-    p = ctx.p
-    prod = cyc_one(ctx)
-    for a in range(1, p):
-        prod = cyc_mul(prod, unit_plus(ctx, a))
     one_plus = cyc_new(ctx, [(0, 1), (1, 1)])
-    prod = cyc_mul(prod, one_plus ** (p - 1))
-    return prod == zeta_power(ctx, -ctx.inv2 % p)
+    factors = [cyc_mul(u, one_plus) for u in plus]
+    while len(factors) > 1:
+        paired = [cyc_mul(u, v) for u, v in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[2 * len(paired):]
+    return factors == [zeta_power(ctx, -ctx.inv2 % ctx.p)]

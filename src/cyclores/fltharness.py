@@ -50,6 +50,7 @@ from .cycint import (
     cyc_new,
     field_ctx,
     int_from_json,
+    int_to_decimal,
 )
 from .cycunits import unit_minus, unit_plus
 from .ntheory import is_prime, kth_root_exact, valuation
@@ -531,7 +532,7 @@ def record_to_json(rec: ScanRecord) -> dict:
         "x": rec.x,
         "y": rec.y,
         "sign": _SIGN_NAME[rec.sign],
-        "N": str(rec.n),
+        "N": int_to_decimal(rec.n),
         "q": rec.q,
         "q_mod_p2": rec.q_mod_p2,
         "ideal": ideal_to_json(rec.ideal),

@@ -11,7 +11,7 @@ import sympy
 import cyclores
 from cyclores import cli
 from cyclores.cli import run
-from cyclores.cycint import InternalError, field_ctx
+from cyclores.cycint import InternalError, field_ctx, int_from_json
 from cyclores.fltharness import MINUS, PLUS, record_to_json, scan
 
 
@@ -49,6 +49,14 @@ def test_hminus(capsys):
     code, out, _ = run_cli(capsys, "hminus", "--p", "37")
     assert code == 0
     assert out == '{"p":37,"h_minus":"37"}\n'
+
+
+def test_hminus_past_4300_digits(capsys, monkeypatch):
+    # h^- passes 4300 digits from p = 7919 on, which takes about 40 s
+    monkeypatch.setattr(cli, "h_minus", lambda p: 10**5000 + 1)
+    code, out, _ = run_cli(capsys, "hminus", "--p", "37")
+    assert code == 0
+    assert out == '{"p":37,"h_minus":"1' + "0" * 4999 + '1"}\n'
 
 
 def test_hminus_precision_flag_is_gone(capsys):
@@ -181,6 +189,8 @@ SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
     ["split", "--p", 2**61 - 1, "--q", 4611686018427387847],
     ["barlow", "--p", 2**61 - 1, "--x", 1, "--y", 2, "--z", 3],
     ["telescope", "--pmax", 2**61 - 1],
+    ["units", "--p", 1031],
+    ["telescope", "--pmax", 1 << 14],
     SYMBOL5 + ["--alpha", "5"],
     SYMBOL5 + ["--alpha", "[null,1,2,3]"],
     SYMBOL5 + ["--alpha", "[[1],1,2,3]"],
@@ -192,6 +202,7 @@ SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
         "telescope-pmax4", "barlow-p4", "scan-p-over-ceiling", "units-p-over-ceiling",
         "split-p-over-ceiling", "barlow-p-over-ceiling", "telescope-pmax-over-ceiling",
+        "units-p-over-units-ceiling", "telescope-pmax-over-telescope-ceiling",
         "alpha-int", "alpha-null", "alpha-list",
         "alpha-float", "alpha-bool", "alpha-string"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
@@ -211,6 +222,36 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: invariant failed\n"
+
+
+def test_scan_partial_line_past_4300_digits(capsys):
+    p, x = 2003, 150
+    code, out, err = run_cli(capsys, "scan", "--p", p, "--x", x, "--y", 1, "--sign", "plus",
+                             "--trial-bound", 2)
+    assert (code, err) == (0, "")
+    line = one_json(out)
+    cofactor = (x**p + 1) // (x + 1)
+    while cofactor % p == 0:
+        cofactor //= p
+    assert len(line["unfactored_cofactor"]) > 4300
+    assert int_from_json(line["unfactored_cofactor"]) == cofactor
+
+
+def test_scan_verify_round_trip_past_4300_digits(capsys, tmp_path):
+    target = tmp_path / "big.jsonl"
+    # x = 2 mod 11 keeps q = 11 from the x = 2 scan; N has 4405 digits
+    code, out, _ = run_cli(capsys, "scan", "--p", 5, "--x", 2 + 11 * 10**1100, "--y", 1,
+                           "--sign", "plus", "--trial-bound", 20, "--out", target)
+    assert (code, out) == (0, "")
+    lines = [json.loads(line) for line in target.read_text().splitlines()]
+    assert [line.get("q") for line in lines] == [11, None]
+    assert len(lines[0]["N"]) > 4300 and len(lines[1]["unfactored_cofactor"]) > 4300
+    code, out, _ = run_cli(capsys, "verify", "--in", target)
+    assert code == 0
+    report = [json.loads(line) for line in out.splitlines()]
+    assert report[1] == {"skipped_partial": True,
+                         "unfactored_cofactor": lines[1]["unfactored_cofactor"]}
+    assert report[2] == {"records": 1, "failures": 0}
 
 
 def test_scan_out_writes_the_stdout_lines(capsys, tmp_path):

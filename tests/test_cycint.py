@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,8 @@ from cyclores.cycint import (
     cyc_zero,
     field_ctx,
     galois,
+    int_from_json,
+    int_to_decimal,
     norm,
     zeta_power,
 )
@@ -221,3 +225,42 @@ def test_json_round_trip():
     for entry in (None, True, False, 1.5, 2.0, "", "+1", "1.0", "1e3", " 1", "1_0", [1], {}):
         with pytest.raises(ValueError):
             cyc_from_json(CTX5, [entry, 0, 0, 0])
+
+
+def decimal_by_words(n):
+    """Oracle: decimal digits nine at a time, by repeated division."""
+    words, m = [], abs(n)
+    while True:
+        m, r = divmod(m, 10**9)
+        words.append(r)
+        if not m:
+            break
+    digits = str(words[-1]) + "".join(f"{w:09d}" for w in reversed(words[:-1]))
+    return "-" + digits if n < 0 else digits
+
+
+BIG_INTS = [0, 7, -7, 10**511, 10**512 - 1, 2**1700, 2**1701, 10**4300 - 1, -(10**4300),
+            10**9000 + 1, 3**20000, -(7**12345) // 11]
+
+
+def test_decimal_round_trip_past_the_str_limit():
+    # past 4300 digits str(n) and int(s) raise by default; the helpers
+    # split by powers of ten and leave the interpreter-wide limit alone
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for n in BIG_INTS:
+        text = int_to_decimal(n)
+        assert text == decimal_by_words(n)
+        assert int_from_json(text) == n
+        assert int_from_json(text.replace("-", "-000") if n < 0 else "000" + text) == n
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit")
+def test_decimal_helpers_hold_under_the_lowest_str_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in BIG_INTS:
+            assert int_from_json(int_to_decimal(n)) == n
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -276,6 +276,14 @@ def test_record_json_round_trip():
         assert back == rec
 
 
+def test_record_json_round_trip_past_4300_digits():
+    # x = 2 mod 11 keeps q = 11 from the x = 2 scan; N has 4405 digits
+    rec = scan(CTX5, 2 + 11 * 10**1100, 1, PLUS, 100)[0]
+    blob = json.loads(json.dumps(record_to_json(rec)))
+    assert rec.q == 11 and len(blob["N"]) == 4405
+    assert record_from_json(blob) == rec
+
+
 def test_record_json_rejects_tampering():
     rec = scan(CTX5, 2, 1, PLUS, 10**6)[0]
     blob = record_to_json(rec)
