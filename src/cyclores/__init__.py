@@ -17,7 +17,6 @@ from .cycint import (
     ContextMismatchError,
     CycInt,
     FieldCtx,
-    GaloisElt,
     InternalError,
     coeffs_to_json,
     cyc_add,
@@ -63,7 +62,6 @@ from .fltharness import (
 )
 from .powsym import (
     NotCoprimeError,
-    SymbolExp,
     UnsupportedIdealError,
     residue_symbol,
     symbol,
@@ -80,7 +78,6 @@ from .regulab import (
 )
 from .resfield import (
     PrimeIdealRep,
-    ResElt,
     ResidueDegreeError,
     galois_image,
     ideal_dividing,

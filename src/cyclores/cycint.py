@@ -31,7 +31,6 @@ __all__ = [
     "Frozen",
     "FieldCtx",
     "CycInt",
-    "GaloisElt",
     "check_p",
     "field_ctx",
     "cyc_new",
@@ -49,10 +48,6 @@ __all__ = [
     "int_from_json",
     "int_to_decimal",
 ]
-
-#: Automorphisms zeta -> zeta^k are addressed by the plain integer k,
-#: 1 <= k <= p-1 (any k not divisible by p is folded into that range).
-GaloisElt = int
 
 #: Exclusive upper limit on the prime p of any field this package builds;
 #: tables of about p entries are cheap below it.
@@ -191,20 +186,6 @@ class CycInt(Frozen):
                 base = cyc_mul(base, base)
         return out
 
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = "" if abs(c) == 1 and i else str(abs(c))
-            var = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
-            sep = "*" if mag and var else ""
-            terms.append(("-" if c < 0 else "+") + (mag + sep + var or "1"))
-        if not terms:
-            return "0"
-        head = terms[0].lstrip("+")
-        return " ".join([head] + [f"{t[0]} {t[1:]}" for t in terms[1:]])
-
 
 def _same_ctx(a: CycInt, b: CycInt) -> None:
     if a.ctx != b.ctx:
@@ -308,7 +289,7 @@ def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
     return CycInt(a.ctx, _reduce(_convolve_packed(a.coeffs, b.coeffs, p), p))
 
 
-def galois(a: CycInt, k: GaloisElt) -> CycInt:
+def galois(a: CycInt, k: int) -> CycInt:
     """Image of a under the automorphism zeta -> zeta^k, k nonzero mod p."""
     p = a.ctx.p
     k %= p
@@ -352,7 +333,10 @@ def norm(a: CycInt) -> int:
 
 def coeffs_to_json(a: CycInt) -> list[str]:
     """Coefficient vector as decimal strings, little-endian by power."""
-    return [str(c) for c in a.coeffs]
+    try:
+        return [str(c) for c in a.coeffs]
+    except ValueError:  # str() refuses ints past the interpreter's digit limit
+        return [int_to_decimal(c) for c in a.coeffs]
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

@@ -57,7 +57,6 @@ from .ntheory import is_prime, kth_root_exact, valuation
 from .powsym import NotCoprimeError, residue_symbol, symbol, zeta_symbol
 from .resfield import (
     PrimeIdealRep,
-    ResElt,
     ideal_dividing,
     ideal_from_root,
     ideal_to_json,
@@ -499,12 +498,12 @@ def furtwangler_report(rec: ScanRecord) -> FurtwanglerReport:
     p, q = ideal.ctx.p, ideal.q
     zeta_e = zeta_symbol(ideal)
     p2 = (q - 1) % (p * p) == 0
-    p_exp = residue_symbol(ResElt(ideal, (p % q,)))
+    p_exp = residue_symbol(ideal, p % q)
     fam_sign = -1 if rec.sign == PLUS else 1
     family = "1-zeta^j" if rec.sign == PLUS else "1+zeta^j"
     wpow = ideal.w_powers
     family_exps = {
-        j: residue_symbol(ResElt(ideal, ((1 + fam_sign * wpow[j]) % q,)))
+        j: residue_symbol(ideal, (1 + fam_sign * wpow[j]) % q)
         for j in range(1, p)
     }
     if rec.sign == PLUS:

@@ -6,23 +6,33 @@ from functools import lru_cache
 from math import isqrt
 
 __all__ = [
+    "PSI_12",
     "is_prime",
     "primes_upto",
     "factorize",
     "multiplicative_order",
+    "root_of_unity",
     "primitive_root",
     "iroot",
     "kth_root_exact",
     "valuation",
 ]
 
-# Miller-Rabin with this base set is deterministic below 3.3 * 10**24.
+# Strong-pseudoprime tests to the first 12 prime bases, 2..37, prove
+# primality below PSI_12, the least composite that passes all of them
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461
 _TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by small primes, then strong-pseudoprime tests."""
+    """Trial division by small primes, then strong-pseudoprime tests.
+
+    False is always proven, by a divisor or a witness base.  True is
+    proven below PSI_12 (about 3.19e23); an n >= PSI_12 that passes every
+    base raises ValueError instead.
+    """
     if n < 2:
         return False
     for r in _TRIAL:
@@ -43,6 +53,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PSI_12:
+        raise ValueError(f"cannot prove primality at or above {PSI_12}")
     return True
 
 
@@ -87,16 +99,26 @@ def multiplicative_order(a: int, p: int) -> int:
     return order
 
 
+def root_of_unity(n: int, q: int) -> int:
+    """The first u^((q-1)/n), u = 1, 2, ..., of order exactly n mod the prime q.
+
+    n must divide q - 1; with n = q - 1 this is the least primitive root.
+    """
+    if n < 1 or (q - 1) % n:
+        raise ValueError(f"n={n} does not divide q - 1 = {q - 1}")
+    cofactor = (q - 1) // n
+    primes = tuple(factorize(n))
+    for u in range(1, q):
+        w = pow(u, cofactor, q)
+        if all(pow(w, n // r, q) != 1 for r in primes):
+            return w
+    raise ValueError(f"no element of order {n} mod {q}; is {q} prime?")
+
+
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     """Smallest positive primitive root modulo the prime p."""
-    if p == 2:
-        return 1
-    fac = tuple(factorize(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in fac):
-            return g
-    raise ValueError(f"no primitive root found; is {p} prime?")
+    return root_of_unity(p - 1, p)
 
 
 def iroot(n: int, k: int) -> int:

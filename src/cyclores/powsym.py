@@ -7,6 +7,11 @@ so e = 0 is the trivial symbol (written "= 1" in multiplicative
 notation), and symbols compose additively,
 symbol(a*b) = symbol(a) + symbol(b) mod p.
 
+Every symbol is one power map on a residue-field value (see
+``resfield``: an int at f = 1, a length-f tuple beyond) followed by a
+lookup of the result among the powers of w; ``residue_symbol`` does
+both, and ``symbol`` feeds it the residue of an element of Z[zeta].
+
 The symbol depends on the choice of ideal above q (equivalently on the
 root w), so the ideal is always an explicit argument.  Symbols beyond
 residue degree 1 are supported for f <= 4 with q^f below 2^128; larger
@@ -16,19 +21,15 @@ fields are rejected rather than silently mishandled.
 from __future__ import annotations
 
 from .cycint import ContextMismatchError, CycInt, InternalError
-from .resfield import PrimeIdealRep, ResElt, residue
+from .resfield import PrimeIdealRep, _fpow, residue
 
 __all__ = [
-    "SymbolExp",
     "NotCoprimeError",
     "UnsupportedIdealError",
     "symbol",
     "residue_symbol",
     "zeta_symbol",
 ]
-
-#: A residue symbol value: the exponent e in [0, p) with symbol = zeta^e.
-SymbolExp = int
 
 
 class NotCoprimeError(ValueError):
@@ -46,27 +47,30 @@ def _check_supported(ideal: PrimeIdealRep) -> None:
         )
 
 
-def symbol(a: CycInt, ideal: PrimeIdealRep) -> SymbolExp:
+def symbol(a: CycInt, ideal: PrimeIdealRep) -> int:
     """Exponent e with a^((q^f-1)/p) = w^e modulo the ideal."""
     if a.ctx != ideal.ctx:
         raise ContextMismatchError("element and ideal live in different fields")
-    return residue_symbol(residue(a, ideal))
+    return residue_symbol(ideal, residue(a, ideal))
 
 
-def residue_symbol(r0: ResElt) -> SymbolExp:
-    """Symbol exponent of any element whose residue at r0.ideal is r0."""
-    ideal = r0.ideal
+def residue_symbol(ideal: PrimeIdealRep, r: int | tuple[int, ...]) -> int:
+    """Symbol exponent of any element whose residue at the ideal is r."""
     _check_supported(ideal)
-    if r0.is_zero():
+    q, f = ideal.q, ideal.f
+    if not (r if f == 1 else any(r)):
         raise NotCoprimeError("element is not coprime to the ideal")
-    r = (r0**ideal.euler_exponent).value
-    e = ideal._dlog.get(r[0] if ideal.f == 1 else r)
+    if f == 1:
+        r = pow(r, ideal.euler_exponent, q)
+    else:
+        r = _fpow(r, ideal.euler_exponent, ideal.field_modulus, q, f)
+    e = ideal._dlog.get(r)
     if e is None:
         raise InternalError("symbol value is not a power of w; broken ideal data")
     return e
 
 
-def zeta_symbol(ideal: PrimeIdealRep) -> SymbolExp:
+def zeta_symbol(ideal: PrimeIdealRep) -> int:
     """Symbol exponent of zeta itself: (q^f - 1)/p reduced mod p."""
     _check_supported(ideal)
     return ideal.euler_exponent % ideal.ctx.p

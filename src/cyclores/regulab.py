@@ -23,9 +23,9 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cycint import FieldCtx, InternalError, check_p, field_ctx
-from .ntheory import factorize, is_prime, primitive_root
+from .ntheory import is_prime, primitive_root, root_of_unity
 from .powsym import residue_symbol
-from .resfield import PrimeIdealRep, ResElt, split_prime
+from .resfield import PrimeIdealRep, split_prime
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -162,14 +162,13 @@ def h_minus(p: int) -> int:
         a = a * g % p
     bound = sum(c * c for c in coeffs) ** m // (2 * p) ** (2 * m - 2)
     scale = (-1) ** m * (2 * p) ** (m - 1)
-    n_factors = tuple(factorize(n))
     value, modulus = 0, 1
     ell = ((1 << 62) - 2) // n * n + 1
     while True:
         ell -= n
         if not is_prime(ell):
             continue
-        r = _odd_character_product(coeffs, n, ell, n_factors) * pow(scale, -1, ell) % ell
+        r = _odd_character_product(coeffs, n, ell) * pow(scale, -1, ell) % ell
         if modulus * modulus > bound:
             break
         # Garner step: keep value = h^- mod modulus, 0 <= value < modulus
@@ -181,9 +180,7 @@ def h_minus(p: int) -> int:
     return value
 
 
-def _odd_character_product(
-    coeffs: list[int], n: int, ell: int, n_factors: tuple[int, ...]
-) -> int:
+def _odd_character_product(coeffs: list[int], n: int, ell: int) -> int:
     """prod_{k<m} G(omega^(2k+1)) mod ell, omega of order n in F_ell.
 
     Chirp-z (Bluestein): 2kt = k^2 + t^2 - (k-t)^2 turns the m values
@@ -192,7 +189,7 @@ def _odd_character_product(
     built incrementally and C is one Kronecker-packed integer product.
     """
     m = len(coeffs)
-    omega = _root_of_unity(n, ell, n_factors)
+    omega = root_of_unity(n, ell)
     omega2 = omega * omega % ell
     chirp_a, step = [], omega2  # omega^(t^2+t); ratio omega^(2t+2)
     cur = 1
@@ -222,16 +219,6 @@ def _odd_character_product(
 
 def _pack(values: list[int], width: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-
-def _root_of_unity(n: int, ell: int, n_factors: tuple[int, ...]) -> int:
-    """An element of multiplicative order exactly n in F_ell, n | ell - 1."""
-    cofactor = (ell - 1) // n
-    for u in range(2, ell):
-        w = pow(u, cofactor, ell)
-        if all(pow(w, n // r, ell) != 1 for r in n_factors):
-            return w
-    raise InternalError(f"no element of order {n} modulo {ell}")
 
 
 def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | None:
@@ -279,10 +266,13 @@ def eigencomponent_symbol(ctx: FieldCtx, k: int, ideal: PrimeIdealRep) -> int:
     p, q = ctx.p, ideal.q
     g = primitive_root(p)
     shift = (1 - g) * ctx.inv2 % p
-    points = ideal.w_powers if ideal.f > 1 else [(v,) for v in ideal.w_powers]
+    points = ideal.w_powers
     total = 0
     for a in range(1, p):
-        terms = (points[a * (shift + i) % p] for i in range(g))
-        value = tuple(sum(col) % q for col in zip(*terms))
-        total += pow(pow(a, k, p), -1, p) * residue_symbol(ResElt(ideal, value))
+        terms = [points[a * (shift + i) % p] for i in range(g)]
+        if ideal.f == 1:
+            value = sum(terms) % q
+        else:
+            value = tuple(sum(col) % q for col in zip(*terms))
+        total += pow(pow(a, k, p), -1, p) * residue_symbol(ideal, value)
     return total % p

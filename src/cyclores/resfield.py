@@ -15,8 +15,10 @@ conventions below make every output reproducible bit for bit:
   the minimal polynomial of w over F_q, and ideals are listed by
   increasing w.
 
-Residue-field elements are little-endian coefficient tuples of fixed
-length f with entries in [0, q).  Everything here is immutable.
+A residue-field element is written as the ideal's ``w`` is: an int in
+[0, q) at f = 1, else a little-endian coefficient tuple of fixed length
+f over the ideal's field F_q[t]/(field_modulus), entries in [0, q).
+Everything here is immutable.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .cycint import ContextMismatchError, CycInt, FieldCtx, Frozen, InternalError
-from .ntheory import is_prime, multiplicative_order
+from .ntheory import is_prime, multiplicative_order, root_of_unity
 
 __all__ = [
     "ResidueDegreeError",
     "PrimeIdealRep",
-    "ResElt",
     "split_prime",
     "residue",
     "ideal_dividing",
@@ -92,49 +93,6 @@ class PrimeIdealRep(Frozen):
     @cached_property
     def _dlog(self) -> dict:
         return {v: e for e, v in enumerate(self.w_powers)}
-
-
-class ResElt(Frozen):
-    """Residue of an element modulo a prime ideal: a point of F_{q^f}."""
-
-    __slots__ = _fields = ("ideal", "value")
-    ideal: PrimeIdealRep
-    value: tuple[int, ...]
-
-    def __init__(self, ideal: PrimeIdealRep, value: tuple[int, ...]):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "value", value)
-
-    def is_zero(self) -> bool:
-        return not any(self.value)
-
-    def lift(self) -> int:
-        """Integer value; only meaningful when f = 1."""
-        if self.ideal.f != 1:
-            raise ValueError("lift() needs a degree-1 ideal")
-        return self.value[0]
-
-    def _same(self, other: ResElt) -> None:
-        if self.ideal != other.ideal:
-            raise ValueError("residues belong to different ideals")
-
-    def __add__(self, other: ResElt) -> ResElt:
-        self._same(other)
-        q = self.ideal.q
-        return ResElt(self.ideal, tuple((x + y) % q for x, y in zip(self.value, other.value)))
-
-    def __mul__(self, other: ResElt) -> ResElt:
-        self._same(other)
-        ideal = self.ideal
-        if ideal.f == 1:
-            return ResElt(ideal, (self.value[0] * other.value[0] % ideal.q,))
-        return ResElt(ideal, _fmul(self.value, other.value, ideal.field_modulus, ideal.q, ideal.f))
-
-    def __pow__(self, e: int) -> ResElt:
-        ideal = self.ideal
-        if ideal.f == 1:
-            return ResElt(ideal, (pow(self.value[0], e, ideal.q),))
-        return ResElt(ideal, _fpow(self.value, e, ideal.field_modulus, ideal.q, ideal.f))
 
 
 # ----------------------------------------------------------------------
@@ -237,16 +195,6 @@ def _degree_one(ctx: FieldCtx, q: int, w: int) -> PrimeIdealRep:
     return PrimeIdealRep(ctx, q, 1, w, ((q - w) % q, 1))
 
 
-def _element_of_order_p(q: int, p: int) -> int:
-    # q = 1 mod p; scan small bases until the power map lands off 1
-    k = (q - 1) // p
-    for u in range(2, q):
-        z = pow(u, k, q)
-        if z != 1:
-            return z
-    raise InternalError(f"found no element of order {p} in F_{q}")
-
-
 def _equal_degree_factor(fpoly: list[int], f: int, q: int) -> list[tuple[int, ...]]:
     """All monic irreducible factors of fpoly, known to have degree f.
 
@@ -321,7 +269,7 @@ def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
         raise ValueError("q must fit in 64 bits")
     f = multiplicative_order(q, p)
     if f == 1:
-        z = _element_of_order_p(q, p)
+        z = root_of_unity(p, q)
         roots = sorted(pow(z, i, q) for i in range(1, p))
         return tuple(_degree_one(ctx, q, w) for w in roots)
     phi = [1 % q] * p
@@ -351,7 +299,7 @@ def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
     return tuple(ideals)
 
 
-def residue(a: CycInt, ideal: PrimeIdealRep) -> ResElt:
+def residue(a: CycInt, ideal: PrimeIdealRep) -> int | tuple[int, ...]:
     """Reduction of a modulo the ideal: evaluate the coefficients at w."""
     if a.ctx != ideal.ctx:
         raise ContextMismatchError("element and ideal live in different fields")
@@ -361,13 +309,13 @@ def residue(a: CycInt, ideal: PrimeIdealRep) -> ResElt:
         w = ideal.w
         for c in reversed(a.coeffs):
             acc = (acc * w + c) % q
-        return ResElt(ideal, (acc,))
+        return acc
     f, m0 = ideal.f, ideal.field_modulus
     acc = _ftup((), f)
     for c in reversed(a.coeffs):
         acc = _fmul(acc, ideal.w, m0, q, f)
         acc = ((acc[0] + c) % q,) + acc[1:]
-    return ResElt(ideal, acc)
+    return acc
 
 
 def ideal_dividing(

@@ -167,6 +167,13 @@ def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
 
 SCAN5 = ["scan", "--p", "5", "--x", "2", "--y", "1", "--sign", "plus"]
 SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
+# psi_12 and psi_13: composites that pass the strong-pseudoprime tests to
+# bases 2..37, with a w of order 127 (psi_13) or 5 (psi_12) modulo them
+PSI12, PSI13 = 318665857834031151167461, 3317044064679887385961981
+SYMBOL_PSI12 = ["symbol", "--p", 5, "--q", PSI12, "--w", 26702685135538387932176,
+                "--alpha", "[3,1,0,0]"]
+SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) // 127, PSI13),
+                "--alpha", json.dumps([3, 1] + [0] * 124)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -197,6 +204,8 @@ SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
     SYMBOL5 + ["--alpha", "[1.5,1,2,3]"],
     SYMBOL5 + ["--alpha", "[true,1,2,3]"],
     SYMBOL5 + ["--alpha", '"1234"'],
+    SYMBOL_PSI12,
+    SYMBOL_PSI13,
 ], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
         "vandiver-p-over-ceiling", "hminus-p-over-ceiling", "split-p3", "split-q-over-64-bits",
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
@@ -204,7 +213,7 @@ SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
         "split-p-over-ceiling", "barlow-p-over-ceiling", "telescope-pmax-over-ceiling",
         "units-p-over-units-ceiling", "telescope-pmax-over-telescope-ceiling",
         "alpha-int", "alpha-null", "alpha-list",
-        "alpha-float", "alpha-bool", "alpha-string"])
+        "alpha-float", "alpha-bool", "alpha-string", "symbol-q-psi12", "symbol-q-psi13"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
     argv = [str(a).replace("{missing}", str(tmp_path / "absent")) for a in argv]
     code, out, err = run_cli(capsys, *argv)
@@ -252,6 +261,17 @@ def test_scan_verify_round_trip_past_4300_digits(capsys, tmp_path):
     assert report[1] == {"skipped_partial": True,
                          "unfactored_cofactor": lines[1]["unfactored_cofactor"]}
     assert report[2] == {"records": 1, "failures": 0}
+
+
+def test_symbol_alpha_past_4300_digits(capsys):
+    big = "1" + "0" * 5000  # 10^5000 = 1 mod 11
+    code, out, err = run_cli(capsys, "symbol", "--p", 5, "--q", 11, "--w", 5,
+                             "--alpha", json.dumps([big, "1", "0", "0"]))
+    assert (code, err) == (0, "")
+    line = one_json(out)
+    assert line["alpha"] == [big, "1", "0", "0"]
+    code, out, _ = run_cli(capsys, "symbol", "--p", 5, "--q", 11, "--w", 5, "--alpha", "[1,1,0,0]")
+    assert code == 0 and line["e"] == one_json(out)["e"]
 
 
 def test_scan_out_writes_the_stdout_lines(capsys, tmp_path):

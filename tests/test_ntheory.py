@@ -1,4 +1,9 @@
+import pytest
+import sympy
+from sympy.ntheory import n_order
+
 from cyclores.ntheory import (
+    PSI_12,
     factorize,
     iroot,
     is_prime,
@@ -6,6 +11,7 @@ from cyclores.ntheory import (
     multiplicative_order,
     primes_upto,
     primitive_root,
+    root_of_unity,
     valuation,
 )
 
@@ -25,6 +31,45 @@ def test_is_prime_large_strong_pseudoprime_inputs():
     assert is_prime(2**61 - 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_is_prime_refuses_pseudoprimes_past_psi_12():
+    # psi_12 and psi_13 (Sorenson-Webster): composites that are strong
+    # pseudoprimes to every base 2..37
+    psi_13 = 3317044064679887385961981
+    for n in (PSI_12, psi_13):
+        assert not sympy.isprime(n)
+        with pytest.raises(ValueError):
+            is_prime(n)
+    assert PSI_12 == 318665857834031151167461
+    assert is_prime(sympy.prevprime(PSI_12))
+    # a witness base still proves compositeness at any size, but a prime
+    # past PSI_12 cannot be told from a pseudoprime
+    assert not is_prime(PSI_12 + 2) and not sympy.isprime(PSI_12 + 2)
+    with pytest.raises(ValueError):
+        is_prime(sympy.nextprime(PSI_12))
+
+
+@pytest.mark.parametrize("n, q", [
+    (5, 11), (101, 607), (1009, 12109), (127, 4611686018427387587),  # n prime
+    (10, 11), (606, 607), (36, 37), (4611686018427387700, 4611686018427387701),  # n = q - 1
+    (6, 31), (15, 31), (100, 4611686018427387701), (202, 607),  # n composite
+])
+def test_root_of_unity_matches_sympy(n, q):
+    assert sympy.isprime(q) and (q - 1) % n == 0
+    w = root_of_unity(n, q)
+    assert n_order(w, q) == n
+    # the first u^((q-1)/n), u = 1, 2, ..., of exact order n
+    cofactor = (q - 1) // n
+    first = next(pow(u, cofactor, q) for u in range(1, q)
+                 if n_order(pow(u, cofactor, q), q) == n)
+    assert w == first
+
+
+def test_root_of_unity_rejects_n_not_dividing_q_minus_1():
+    for n, q in ((3, 11), (0, 11), (4, 11)):
+        with pytest.raises(ValueError):
+            root_of_unity(n, q)
 
 
 def test_primes_upto():
@@ -54,6 +99,7 @@ def test_primitive_root_is_smallest():
         g = primitive_root(p)
         assert multiplicative_order(g, p) == p - 1
         assert all(multiplicative_order(h, p) < p - 1 for h in range(2, g))
+        assert g == sympy.primitive_root(p) == root_of_unity(p - 1, p)
 
 
 def test_iroot_and_exact_roots():

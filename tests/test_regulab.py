@@ -91,10 +91,9 @@ def h_minus_full_product(p):
     m = n // 2
     coeffs = odd_character_coeffs(p)
     bound = 2 * sum(map(abs, coeffs)) ** m
-    n_factors = tuple(factorize(n))
     value, modulus = 0, 1
     for ell in primes_one_mod(n, 1 << 40, bound.bit_length() // 40 + 1):
-        r = regulab._odd_character_product(coeffs, n, ell, n_factors)
+        r = regulab._odd_character_product(coeffs, n, ell)
         value += modulus * ((r - value) * pow(modulus, -1, ell) % ell)
         modulus *= ell
     assert modulus > bound
@@ -200,16 +199,16 @@ def test_h_minus_spare_prime_catches_a_wrong_residue(monkeypatch, wrong_call):
     exact = regulab._odd_character_product
     ells = []
 
-    def spy(coeffs, n, ell, n_factors):
+    def spy(coeffs, n, ell):
         ells.append(ell)
-        return exact(coeffs, n, ell, n_factors)
+        return exact(coeffs, n, ell)
 
     monkeypatch.setattr(regulab, "_odd_character_product", spy)
     assert h_minus(101) == H_MINUS_A000927[101]
     bad_ell = ells[0] if wrong_call == "first" else ells[-1]
 
-    def corrupt(coeffs, n, ell, n_factors):
-        r = exact(coeffs, n, ell, n_factors)
+    def corrupt(coeffs, n, ell):
+        r = exact(coeffs, n, ell)
         return (r + 1) % ell if ell == bad_ell else r
 
     monkeypatch.setattr(regulab, "_odd_character_product", corrupt)
