@@ -59,10 +59,10 @@ from .resfield import ideal_from_modulus, ideal_from_root, ideal_to_json, split_
 __all__ = ["run", "main", "UsageError", "UNITS_P_MAX", "TELESCOPE_P_MAX"]
 
 # Exclusive ceilings for the two commands whose running time, not
-# memory, outgrows cycint.P_MAX.  units --p does about p^3 coefficient
-# work and prints about 2p^2 numbers; telescope --pmax replays O(p)
-# steps for each prime up to pmax.  Either takes 10-20 s on a 2-core
-# x86-64 machine (CPython 3.11) just below its ceiling.
+# memory, outgrows cycint.P_MAX.  units --p makes about 4p products in
+# Z[zeta] and prints about 2p^2 numbers: p = 1021 takes 3.1 s on a
+# 2-core x86-64 machine (CPython 3.11).  telescope --pmax replays O(p)
+# steps for each prime up to pmax: 11 s at pmax = 16384 there.
 UNITS_P_MAX = 1 << 10
 TELESCOPE_P_MAX = 1 << 14
 
@@ -175,8 +175,8 @@ def _cmd_units(args) -> int:
     closed-form inverse (see ``cycunits``): a product equal to 1 exhibits
     the unit's inverse, so its norm, a multiplicative integer, is +-1,
     and it fails for any element other than the unit the inverse
-    belongs to.  Those 2(p-1) dense products and the product tree of
-    ``unit_product_check`` cost about p^3, hence UNITS_P_MAX.
+    belongs to.  Those 2(p-1) products, the 2(p-1) of
+    ``unit_product_check`` and the 2p^2 printed numbers set UNITS_P_MAX.
     """
     if not args.p < UNITS_P_MAX:
         raise UsageError(f"units needs p < {UNITS_P_MAX}")

@@ -10,16 +10,21 @@ so the representation is canonical and two elements are equal exactly when
 their coefficient tuples are equal.  Coefficients are Python ints, hence
 arbitrary precision throughout.
 
-Products are quadratic convolutions of coefficient vectors.  The
-convolution is evaluated by packing each vector into one big integer and
-multiplying those (Kronecker substitution), which moves the inner loop
-into native multi-word arithmetic.  All values are immutable.
+A product is a convolution of coefficient vectors, evaluated by Kronecker
+substitution: each vector is packed into one big integer, one digit of a
+whole number of bytes per coefficient, the two integers are multiplied,
+and the product is read back digit by digit.  Packing and unpacking are
+linear in the length, so the big-integer multiply dominates.
+``kronecker_mul`` is the one packed product of the package; ``regulab``
+uses it over F_p as well.  All values are immutable.
 """
 
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+import struct
+from itertools import repeat
+from operator import add, attrgetter, rshift, sub
 from typing import Iterable, Sequence
 
 from .ntheory import is_prime, primitive_root
@@ -37,6 +42,7 @@ __all__ = [
     "cyc_add",
     "cyc_sub",
     "cyc_mul",
+    "kronecker_mul",
     "cyc_int",
     "cyc_zero",
     "cyc_one",
@@ -196,7 +202,7 @@ def _reduce(vec: list[int], p: int) -> tuple[int, ...]:
     # eliminate zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
     d = vec[p - 1]
     if d:
-        return tuple(vec[i] - d for i in range(p - 1))
+        return tuple(map(sub, vec[: p - 1], repeat(d)))
     return tuple(vec[: p - 1])
 
 
@@ -241,52 +247,93 @@ def cyc_sub(a: CycInt, b: CycInt) -> CycInt:
     return CycInt(a.ctx, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def _pack(cs: Sequence[int], width: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = (acc << width) + c
-    return acc
+# struct format codes of the signed little-endian integers of nb bytes
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _convolve_packed(ac: Sequence[int], bc: Sequence[int], p: int) -> list[int]:
-    # Digit width large enough that convolution coefficients never reach
-    # +-2^(width-1); balanced digit extraction then recovers signed values.
-    amax = max(abs(c) for c in ac)
-    bmax = max(abs(c) for c in bc)
-    width = (amax * bmax * (p - 1)).bit_length() + 2
-    prod = _pack(ac, width) * _pack(bc, width)
-    vec = [0] * p
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    for m in range(2 * p - 3):
-        d = prod & mask
-        if d >= half:
-            d -= mask + 1
-        prod = (prod - d) >> width
-        if d:
-            vec[m if m < p else m - p] += d
-    if prod:
-        raise InternalError("kronecker unpack left a nonzero carry")
-    return vec
+def _ones(nb: int, count: int) -> int:
+    """The integer whose count digits of nb bytes are each 1."""
+    return int.from_bytes(b"\1".ljust(nb, b"\0") * count, "little")
+
+
+def _pack(digits: Sequence[int], nb: int) -> int:
+    """sum_i digits[i] * 2^(8*nb*i) for signed digits of size below 2^(8nb-1).
+
+    The digits are written as nb-byte two's complement and read back as
+    one unsigned integer u; a negative digit borrows 2^(8nb) from the
+    next one, and the borrows, marked by the digits' sign bits, are
+    taken off at once.
+    """
+    n = len(digits)
+    code = _STRUCT_CODES.get(nb)
+    if code:
+        raw = struct.pack(f"<{n}{code}", *digits)
+    elif nb < 8:
+        # the low nb bytes of each 8-byte digit
+        wide = struct.pack(f"<{n}q", *digits)
+        raw = bytearray(n * nb)
+        for i in range(nb):
+            raw[i::nb] = wide[i::8]
+    else:
+        raw = b"".join(d.to_bytes(nb, "little", signed=True) for d in digits)
+    u = int.from_bytes(raw, "little")
+    w = 8 * nb
+    return u - (((u >> (w - 1)) & _ones(nb, n)) << w)
+
+
+def _unpack(value: int, nb: int, count: int, lo: int, hi: int) -> list[int]:
+    """Digits lo..hi-1 of value written as count signed digits of nb bytes.
+
+    Adding 2^(8nb-1) to every digit makes them all nonnegative without a
+    carry, and the xor takes it off again in two's complement, so one
+    to_bytes call splits the whole value.  A value that has no such
+    digits raises InternalError.
+    """
+    offset = _ones(nb, count) << (8 * nb - 1)
+    try:
+        raw = ((value + offset) ^ offset).to_bytes(nb * count, "little")
+    except OverflowError:
+        raise InternalError("kronecker unpack: a digit overflows its width") from None
+    k = hi - lo
+    code = _STRUCT_CODES.get(nb)
+    if code:
+        return list(struct.unpack_from(f"<{k}{code}", raw, nb * lo))
+    if nb < 8:
+        # each digit as the high bytes of an 8-byte one; the arithmetic
+        # shift back down extends its sign
+        wide = bytearray(8 * k)
+        for i in range(nb):
+            wide[8 - nb + i :: 8] = raw[nb * lo + i : nb * hi : nb]
+        return list(map(rshift, struct.unpack(f"<{k}q", wide), repeat(64 - 8 * nb)))
+    return [
+        int.from_bytes(raw[i : i + nb], "little", signed=True)
+        for i in range(nb * lo, nb * hi, nb)
+    ]
+
+
+def kronecker_mul(a: Sequence[int], b: Sequence[int], bound: int, lo: int, hi: int) -> list[int]:
+    """Coefficients lo..hi-1 of the product of two integer polynomials.
+
+    a and b are coefficient lists, lowest power first.  bound must be at
+    least the absolute value of every coefficient of a, b and a*b; the
+    digits are bound.bit_length() // 8 + 1 bytes wide, so each holds
+    +-bound in two's complement.
+    """
+    nb = bound.bit_length() // 8 + 1
+    return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1, lo, hi)
 
 
 def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
     _same_ctx(a, b)
     p = a.ctx.p
-    nza = [(i, c) for i, c in enumerate(a.coeffs) if c]
-    if not nza:
-        return a
-    nzb = [(j, c) for j, c in enumerate(b.coeffs) if c]
-    if not nzb:
-        return b
-    if len(nza) * len(nzb) <= 4 * p:
-        vec = [0] * p
-        for i, ci in nza:
-            for j, cj in nzb:
-                idx = i + j
-                vec[idx if idx < p else idx - p] += ci * cj
-        return CycInt(a.ctx, _reduce(vec, p))
-    return CycInt(a.ctx, _reduce(_convolve_packed(a.coeffs, b.coeffs, p), p))
+    # a product coefficient sums at most p-1 terms; the inputs must fit
+    # too, which the product bound does not ensure when it is 0
+    amax = max(map(abs, a.coeffs))
+    bmax = max(map(abs, b.coeffs))
+    conv = kronecker_mul(a.coeffs, b.coeffs, max(amax * bmax * (p - 1), amax, bmax), 0, 2 * p - 3)
+    # fold zeta^m, m >= p, onto zeta^(m-p)
+    head, tail = conv[:p], conv[p:]
+    return CycInt(a.ctx, _reduce(list(map(add, head, tail)) + head[len(tail) :], p))
 
 
 def galois(a: CycInt, k: int) -> CycInt:

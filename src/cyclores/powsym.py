@@ -21,7 +21,7 @@ fields are rejected rather than silently mishandled.
 from __future__ import annotations
 
 from .cycint import ContextMismatchError, CycInt, InternalError
-from .resfield import PrimeIdealRep, _fpow, residue
+from .resfield import Q_MAX, PrimeIdealRep, _fpow, residue
 
 __all__ = [
     "NotCoprimeError",
@@ -41,7 +41,7 @@ class UnsupportedIdealError(ValueError):
 
 
 def _check_supported(ideal: PrimeIdealRep) -> None:
-    if ideal.f > 4 or ideal.q**ideal.f >= 1 << 128:
+    if ideal.f > 4 or ideal.q**ideal.f >= Q_MAX:
         raise UnsupportedIdealError(
             f"residue degree f={ideal.f} over q={ideal.q} is out of the supported range"
         )

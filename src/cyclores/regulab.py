@@ -22,7 +22,7 @@ import threading
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cycint import FieldCtx, InternalError, check_p, field_ctx
+from .cycint import FieldCtx, InternalError, check_p, field_ctx, kronecker_mul
 from .ntheory import is_prime, primitive_root, root_of_unity
 from .powsym import residue_symbol
 from .resfield import PrimeIdealRep, split_prime
@@ -108,20 +108,15 @@ def _bernoulli_mod_p(p: int) -> list[int]:
     while len(inverse) < size:
         k = len(inverse)
         n = min(2 * k, size)
-        error = _mul_mod(series[:n], inverse, p)[k:n]
-        inverse += [-c % p for c in _mul_mod(inverse[: n - k], error, p)[: n - k]]
+        error = _mul_mod(series[:n], inverse, p, k, n)
+        inverse += [-c % p for c in _mul_mod(inverse[: n - k], error, p, 0, n - k)]
     return [c * f % p for c, f in zip(inverse, fact)]
 
 
-def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Coefficients of a*b over F_p; a and b hold values in [0, p)."""
-    # every product coefficient is below min(len) * p^2 < 256^width
-    width = (2 * p.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
-    conv = (_pack(a, width) * _pack(b, width)).to_bytes(width * (len(a) + len(b)), "little")
-    return [
-        int.from_bytes(conv[i : i + width], "little") % p
-        for i in range(0, width * (len(a) + len(b) - 1), width)
-    ]
+def _mul_mod(a: list[int], b: list[int], p: int, lo: int, hi: int) -> list[int]:
+    """Coefficients lo..hi-1 of a*b over F_p; a and b hold values in [0, p)."""
+    bound = min(len(a), len(b)) * (p - 1) ** 2
+    return [c % p for c in kronecker_mul(a, b, bound, lo, hi)]
 
 
 def irregular_pairs(p: int) -> list[IrregularPair]:
@@ -206,19 +201,11 @@ def _odd_character_product(coeffs: list[int], n: int, ell: int) -> int:
         cur = cur * step % ell
         step = step * inv_omega2 % ell
     chirp_b = chirp_b[:0:-1] + chirp_b
-    # every convolution coefficient is below m * ell^2 < 256^width
-    width = (2 * ell.bit_length() + m.bit_length() + 7) // 8
-    conv = (_pack(chirp_a, width) * _pack(chirp_b, width)).to_bytes(
-        width * (3 * m - 2), "little"
-    )
+    conv = kronecker_mul(chirp_a, chirp_b, m * (ell - 1) ** 2, m - 1, 2 * m - 1)
     total = pow(omega, (m - 1) * m * (2 * m - 1) // 6 % n, ell)
-    for j in range(m - 1, 2 * m - 1):
-        total = total * int.from_bytes(conv[j * width : (j + 1) * width], "little") % ell
+    for c in conv:
+        total = total * c % ell
     return total
-
-
-def _pack(values: list[int], width: int) -> int:
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
 def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | None:

@@ -31,6 +31,7 @@ from .cycint import ContextMismatchError, CycInt, FieldCtx, Frozen, InternalErro
 from .ntheory import is_prime, multiplicative_order, root_of_unity
 
 __all__ = [
+    "Q_MAX",
     "ResidueDegreeError",
     "PrimeIdealRep",
     "split_prime",
@@ -41,6 +42,18 @@ __all__ = [
     "galois_image",
     "ideal_to_json",
 ]
+
+
+#: Exclusive upper limit on q for an ideal addressed by its root or its
+#: modulus, and on q^f for a symbol (``powsym``).  Checked before any
+#: primality test, whose cost grows with q.
+Q_MAX = 1 << 128
+
+
+def _check_q_size(q: int, limit: int) -> None:
+    # the message names q's size, not q, which may have any length
+    if not -limit < q < limit:
+        raise ValueError(f"q has {q.bit_length()} bits; it must be below 2^{limit.bit_length() - 1}")
 
 
 class ResidueDegreeError(ValueError):
@@ -261,12 +274,11 @@ def _minpoly(w: tuple[int, ...], f: int, m0, q: int) -> tuple[int, ...]:
 def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
     """All prime ideals of Z[zeta] above q, in canonical order."""
     p = ctx.p
+    _check_q_size(q, 1 << 63)
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     if q == p:
         raise ValueError("q = p is ramified and not handled here")
-    if q.bit_length() > 63:
-        raise ValueError("q must fit in 64 bits")
     f = multiplicative_order(q, p)
     if f == 1:
         z = root_of_unity(p, q)
@@ -346,6 +358,7 @@ def ideal_dividing(
 def ideal_from_root(ctx: FieldCtx, q: int, w: int) -> PrimeIdealRep:
     """Degree-1 ideal above q with zeta mapping to the given root w."""
     p = ctx.p
+    _check_q_size(q, Q_MAX)
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     if q == p:
@@ -358,6 +371,7 @@ def ideal_from_root(ctx: FieldCtx, q: int, w: int) -> PrimeIdealRep:
 
 def ideal_from_modulus(ctx: FieldCtx, q: int, coeffs: Sequence[int]) -> PrimeIdealRep:
     """Ideal above q addressed by its modulus polynomial (any degree)."""
+    _check_q_size(q, Q_MAX)
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     wanted = tuple(c % q for c in coeffs)

@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 import cyclores
-from cyclores import cli
+from cyclores import cli, resfield
 from cyclores.cli import run
 from cyclores.cycint import InternalError, field_ctx, int_from_json
 from cyclores.fltharness import MINUS, PLUS, record_to_json, scan
@@ -220,6 +220,27 @@ def test_bad_input_exits_1(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+# the first odd number of 1501 digits with no prime factor below 50
+HUGE_Q = next(n for n in range(10**1500 + 1, 10**1500 + 10**4, 2)
+              if all(n % d for d in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "--p", 5, "--q", HUGE_Q],
+    ["symbol", "--p", 5, "--q", HUGE_Q, "--w", 3, "--alpha", "[1,0,0,0]"],
+    ["symbol", "--p", 5, "--q", HUGE_Q, "--modulus", "1,0,1", "--alpha", "[1,0,0,0]"],
+], ids=["split", "symbol-w", "symbol-modulus"])
+def test_q_size_checked_before_primality(capsys, monkeypatch, argv):
+    # a primality test of q costs time that grows with q; the size check
+    # comes first, and its message does not echo q
+    calls = []
+    real = resfield.is_prime
+    monkeypatch.setattr(resfield, "is_prime", lambda n: calls.append(n) or real(n))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error:") and len(err) < 200
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -1,13 +1,17 @@
 import sys
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclores.cycint import (
     P_MAX,
     ContextMismatchError,
     CycInt,
+    InternalError,
+    _pack,
+    _unpack,
     coeffs_to_json,
     cyc_add,
     cyc_from_json,
@@ -138,17 +142,49 @@ def test_ring_laws(p, data):
     assert cyc_mul(a, cyc_add(b, c)) == cyc_add(cyc_mul(a, b), cyc_mul(a, c))
 
 
+# digit widths in bytes: struct's signed formats (1, 2, 4, 8), the
+# widths packed through 8-byte digits (3, 5) and per-digit to_bytes (9)
+DIGIT_WIDTHS = [1, 2, 3, 4, 5, 8, 9]
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([5, 7, 11]), st.data())
-def test_packed_mul_matches_schoolbook(p, data):
-    # the packed product must agree with the literal convolution,
-    # including with large mixed-sign coefficients
-    lo, hi = -(10**12), 10**12
+@given(st.sampled_from([5, 7, 11, 67, 199, 1009]), st.sampled_from(DIGIT_WIDTHS), st.data())
+def test_packed_mul_matches_schoolbook(p, nb, data):
+    # the packed product must agree with the literal convolution, with
+    # mixed-sign coefficients and with same-sign operands whose product
+    # coefficients reach the largest size the digit width holds (top),
+    # or just pass it (top + 1)
+    top = isqrt(((1 << (8 * nb - 1)) - 1) // (p - 1))  # top^2 (p-1) < 2^(8nb-1)
+    assume(top > 0)
     ctx = field_ctx(p)
-    a = data.draw(coeff_vectors(p, lo, hi))
-    b = data.draw(coeff_vectors(p, lo, hi))
+    if data.draw(st.booleans()):
+        a = data.draw(coeff_vectors(p, -top, top))
+        b = data.draw(coeff_vectors(p, -top, top))
+    else:
+        size = data.draw(st.sampled_from([top, top + 1]))
+        a = (data.draw(st.sampled_from([size, -size])),) * (p - 1)
+        b = (data.draw(st.sampled_from([size, -size])),) * (p - 1)
     packed = cyc_mul(CycInt(ctx, a), CycInt(ctx, b)).coeffs
     assert packed == _mul_convolve(a, b, p)
+
+
+@pytest.mark.parametrize("nb", DIGIT_WIDTHS + [6, 7, 17])
+def test_pack_unpack_round_trip(nb):
+    top = (1 << (8 * nb - 1)) - 1
+    digits = [0, top, -top, -top, 0, top, 1, -1, -top - 1, 0]
+    n = len(digits)
+    value = _pack(digits, nb)
+    assert value == sum(d << (8 * nb * i) for i, d in enumerate(digits))
+    full = _unpack(value, nb, n, 0, n)
+    assert full == digits
+    for lo in range(n + 1):
+        for hi in range(lo, n + 1):
+            assert _unpack(value, nb, n, lo, hi) == full[lo:hi]
+    # a top digit of 2^(8nb-1) or -2^(8nb-1) - 1 has no nb-byte form
+    shift = 8 * nb * (n - 1)
+    for bad in (value + ((top + 1) << shift), value - ((top + 2) << shift)):
+        with pytest.raises(InternalError):
+            _unpack(bad, nb, n, 0, n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -151,6 +152,28 @@ def test_irregular_pairs():
 def test_bernoulli_mod_p_matches_recurrence():
     for p in primes_upto(600)[1:]:
         assert regulab._bernoulli_mod_p(p) == bernoulli_mod_p_recurrence(p), p
+
+
+def mul_mod_schoolbook(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+@pytest.mark.parametrize("p", [5, 443, 4093])
+def test_mul_mod_matches_schoolbook(p):
+    rng = random.Random(p)
+    for la, lb in [(1, 1), (2, 7), (40, 25), (300, 300), (1000, 700)]:
+        for a, b in [
+            ([rng.randrange(p) for _ in range(la)], [rng.randrange(p) for _ in range(lb)]),
+            ([p - 1] * la, [p - 1] * lb),  # every coefficient at its largest
+        ]:
+            full = mul_mod_schoolbook(a, b, p)
+            n = len(full)
+            for lo, hi in [(0, n), (0, 1), (n - 1, n), (n // 3, n // 2), (la - 1, n), (0, 0)]:
+                assert regulab._mul_mod(a, b, p, lo, hi) == full[lo:hi], (la, lb, lo, hi)
 
 
 def test_irregular_pairs_match_exact_bernoulli():
