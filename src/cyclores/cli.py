@@ -56,15 +56,17 @@ from .powsym import symbol
 from .regulab import h_minus, irregular_pairs, vandiver_witness
 from .resfield import ideal_from_modulus, ideal_from_root, ideal_to_json, split_prime
 
-__all__ = ["run", "main", "UsageError", "UNITS_P_MAX", "TELESCOPE_P_MAX"]
+__all__ = ["run", "main", "UsageError", "UNITS_P_MAX", "TELESCOPE_P_MAX", "HMINUS_P_MAX"]
 
-# Exclusive ceilings for the two commands whose running time, not
-# memory, outgrows cycint.P_MAX.  units --p makes about 4p products in
-# Z[zeta] and prints about 2p^2 numbers: p = 1021 takes 3.1 s on a
-# 2-core x86-64 machine (CPython 3.11).  telescope --pmax replays O(p)
-# steps for each prime up to pmax: 11 s at pmax = 16384 there.
+# Exclusive ceilings for the commands whose running time, not memory,
+# outgrows cycint.P_MAX.  units --p makes about 4p products in Z[zeta]
+# and prints about 2p^2 numbers: p = 1021 takes 3.1 s on a 2-core x86-64
+# machine (CPython 3.11).  telescope --pmax replays O(p) steps for each
+# prime up to pmax: 11 s at pmax = 16384 there.  hminus --p grows like
+# p^2.5 to p^3: 0.11 s at p = 1009, 0.95 s at 2039, 6.7 s at 4093 there.
 UNITS_P_MAX = 1 << 10
 TELESCOPE_P_MAX = 1 << 14
+HMINUS_P_MAX = 1 << 12
 
 
 class UsageError(Exception):
@@ -211,6 +213,8 @@ def _cmd_irregular(args) -> int:
 
 
 def _cmd_hminus(args) -> int:
+    if not args.p < HMINUS_P_MAX:
+        raise UsageError(f"hminus needs p < {HMINUS_P_MAX}")
     value = h_minus(args.p)
     _emit({"p": args.p, "h_minus": int_to_decimal(value)})
     return 0
@@ -303,7 +307,7 @@ def _cmd_verify(args) -> int:
                 k for k, v in symid.per_k.items() if v == "fail"
             ],
             "skipped": [k for k, v in symid.per_k.items() if v == "skipped"],
-            "specialization_triggered": symid.specialization is not None,
+            "specialization_triggered": symid.specialization_triggered,
             "zeta_consistency_ok": furt.consistency_ok,
             "p2_divides_q_minus_1": furt.p2_divides,
             "display_holds": furt.display_holds,

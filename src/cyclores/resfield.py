@@ -19,12 +19,19 @@ A residue-field element is written as the ideal's ``w`` is: an int in
 [0, q) at f = 1, else a little-endian coefficient tuple of fixed length
 f over the ideal's field F_q[t]/(field_modulus), entries in [0, q).
 Everything here is immutable.
+
+An ideal's table ``w_powers`` of w^0..w^(p-1) is the one source of
+residue-field values.  Reduction is a dot product with it: the image of
+sum a_i zeta^i is sum a_i w^i, taken per coordinate at f > 1.  The
+Frobenius conjugates of w^j are w^(j q^i), i < f, read off it by index;
+so is the orbit of the root w^(1/k) of a Galois image.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Sequence
 
 from .cycint import ContextMismatchError, CycInt, FieldCtx, Frozen, InternalError
@@ -249,25 +256,33 @@ def _equal_degree_factor(fpoly: list[int], f: int, q: int) -> list[tuple[int, ..
     return out
 
 
-def _minpoly(w: tuple[int, ...], f: int, m0, q: int) -> tuple[int, ...]:
-    # product of (X - w^(q^i)) over the Frobenius orbit; lands in F_q[X]
+def _minpoly(orbit: list[tuple[int, ...]], m0, q: int) -> tuple[int, ...]:
+    # product of (X - r) over a Frobenius orbit; lands in F_q[X]
+    f = len(orbit)
     poly = [_fone(f)]
-    conj = w
-    for _ in range(f):
-        neg = tuple(-c % q for c in conj)
+    for r in orbit:
+        neg = tuple(-c % q for c in r)
         nxt = [_ftup((), f) for _ in range(len(poly) + 1)]
         for i, coef in enumerate(poly):
             nxt[i + 1] = tuple((a + b) % q for a, b in zip(nxt[i + 1], coef))
             prod = _fmul(coef, neg, m0, q, f)
             nxt[i] = tuple((a + b) % q for a, b in zip(nxt[i], prod))
         poly = nxt
-        conj = _fpow(conj, q, m0, q, f)
     out = []
     for coef in poly:
         if any(coef[1:]):
             raise InternalError("minimal polynomial has non-scalar coefficients")
         out.append(coef[0])
     return tuple(out)
+
+
+def _orbit_ideal(ctx: FieldCtx, q: int, orbit: list, m0) -> PrimeIdealRep:
+    # the ideal at which zeta maps into the Frobenius orbit; its w is the
+    # orbit's least element, m0 (None at f = 1) the field it lives in
+    w = min(orbit)
+    if m0 is None:
+        return _degree_one(ctx, q, w)
+    return PrimeIdealRep(ctx, q, len(orbit), w, _minpoly(orbit, m0, q), m0)
 
 
 @lru_cache(maxsize=256)
@@ -303,31 +318,21 @@ def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
     for j in range(1, p):
         if j in seen:
             continue
-        orbit = [j * h % p for h in subgroup]
-        seen.update(orbit)
-        w = min(tpows[jj] for jj in orbit)
-        ideals.append(PrimeIdealRep(ctx, q, f, w, _minpoly(w, f, m0, q), m0))
+        coset = [j * h % p for h in subgroup]
+        seen.update(coset)
+        ideals.append(_orbit_ideal(ctx, q, [tpows[jj] for jj in coset], m0))
     ideals.sort(key=lambda ideal: ideal.w)
     return tuple(ideals)
 
 
 def residue(a: CycInt, ideal: PrimeIdealRep) -> int | tuple[int, ...]:
-    """Reduction of a modulo the ideal: evaluate the coefficients at w."""
+    """Reduction of a modulo the ideal: sum_i a_i w^i, read off ``w_powers``."""
     if a.ctx != ideal.ctx:
         raise ContextMismatchError("element and ideal live in different fields")
     q = ideal.q
     if ideal.f == 1:
-        acc = 0
-        w = ideal.w
-        for c in reversed(a.coeffs):
-            acc = (acc * w + c) % q
-        return acc
-    f, m0 = ideal.f, ideal.field_modulus
-    acc = _ftup((), f)
-    for c in reversed(a.coeffs):
-        acc = _fmul(acc, ideal.w, m0, q, f)
-        acc = ((acc[0] + c) % q,) + acc[1:]
-    return acc
+        return sum(map(mul, a.coeffs, ideal.w_powers)) % q
+    return tuple(sum(map(mul, a.coeffs, column)) % q for column in zip(*ideal.w_powers))
 
 
 def ideal_dividing(
@@ -341,14 +346,15 @@ def ideal_dividing(
     it exists: the roots are distinct and x is invertible mod q.
     """
     p = ctx.p
+    # the cheap checks first: a primality test costs time that grows with q
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
+    if q % p != 1:  # for a prime q != p, the same as q having order 1 mod p
+        raise ResidueDegreeError("q is not 1 mod p, so no unramified degree-1 ideal lies above it")
     if (p * x * y) % q == 0:
         raise ValueError("q must not divide p*x*y")
-    if multiplicative_order(q, p) != 1:
-        raise ResidueDegreeError(f"no degree-1 ideal above q={q}")
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
     w = -sign * y * pow(x, -1, q) % q
     if w == 1 or pow(w, p, q) != 1:
         return None
@@ -387,26 +393,17 @@ def galois_image(ideal: PrimeIdealRep, k: int) -> PrimeIdealRep:
     """The image of the ideal under zeta -> zeta^k.
 
     Its root is w^(1/k): reducing zeta^k - w' to zero forces the new
-    image of zeta to be the k-th-inverse power of the old one.
+    image of zeta to be the k-th-inverse power of the old one.  The
+    Frobenius orbit of that root is w^(q^i/k), i < f, read off
+    ``w_powers``.
     """
-    p = ideal.ctx.p
+    p, q = ideal.ctx.p, ideal.q
     k %= p
     if k == 0:
         raise ValueError("galois index must be nonzero modulo p")
     inv = pow(k, -1, p)
-    if ideal.f == 1:
-        return _degree_one(ideal.ctx, ideal.q, pow(ideal.w, inv, ideal.q))
-    target = ideal.w_powers[inv]
-    orbit = []
-    conj = target
-    for _ in range(ideal.f):
-        orbit.append(conj)
-        conj = _fpow(conj, ideal.q, ideal.field_modulus, ideal.q, ideal.f)
-    rep = min(orbit)
-    for cand in split_prime(ideal.ctx, ideal.q):
-        if cand.w == rep:
-            return cand
-    raise InternalError("galois image orbit missing from the canonical split")
+    orbit = [ideal.w_powers[inv * pow(q, i, p) % p] for i in range(ideal.f)]
+    return _orbit_ideal(ideal.ctx, q, orbit, ideal.field_modulus)
 
 
 def ideal_to_json(ideal: PrimeIdealRep) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -52,7 +53,8 @@ def test_hminus(capsys):
 
 
 def test_hminus_past_4300_digits(capsys, monkeypatch):
-    # h^- passes 4300 digits from p = 7919 on, which takes about 40 s
+    # h^- passes 4300 digits only from p = 7919 on, above cli.HMINUS_P_MAX,
+    # so a big value is patched in
     monkeypatch.setattr(cli, "h_minus", lambda p: 10**5000 + 1)
     code, out, _ = run_cli(capsys, "hminus", "--p", "37")
     assert code == 0
@@ -198,6 +200,7 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
     ["telescope", "--pmax", 2**61 - 1],
     ["units", "--p", 1031],
     ["telescope", "--pmax", 1 << 14],
+    ["hminus", "--p", 4099],
     SYMBOL5 + ["--alpha", "5"],
     SYMBOL5 + ["--alpha", "[null,1,2,3]"],
     SYMBOL5 + ["--alpha", "[[1],1,2,3]"],
@@ -212,6 +215,7 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
         "telescope-pmax4", "barlow-p4", "scan-p-over-ceiling", "units-p-over-ceiling",
         "split-p-over-ceiling", "barlow-p-over-ceiling", "telescope-pmax-over-ceiling",
         "units-p-over-units-ceiling", "telescope-pmax-over-telescope-ceiling",
+        "hminus-p-over-hminus-ceiling",
         "alpha-int", "alpha-null", "alpha-list",
         "alpha-float", "alpha-bool", "alpha-string", "symbol-q-psi12", "symbol-q-psi13"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
@@ -408,3 +412,65 @@ def test_verify_fuzzed_records_never_exit_3(capsys, tmp_path):
             assert out == "", rec
         codes.add(code)
     assert codes >= {1, 2}
+
+
+# (exit code, sha256 of stdout) of runs whose output no refactoring may
+# change; a failure here means a command's output moved, not a bug in
+# the test.  Each scan's stdout is then fed to verify.
+GOLDEN = [
+    (["split", "--p", 5, "--q", 11], "72500966a58b594501fdf46d631586fd1f3afd15960abd8b06c4fe9d94686be4"),
+    (["split", "--p", 5, "--q", 19], "33b7b23886a024143a2853335fcfc629c2c421e21878450f1330e0f975b1ddc2"),
+    (["split", "--p", 7, "--q", 11], "eafe8ccf57d5c81550ac6fcc709db9d7c4c0fd784f557d92d75e22975222f74f"),
+    (["split", "--p", 13, "--q", 5], "75997dd47d5a1c0c96962c1a70f2f6feaa95e74c1ed6689fbab74b0cfc5e70b1"),
+    (["split", "--p", 11, "--q", 7], "ebb23f13142ecc4f7fed492c6600e023ea69c3a2c02f6e171896f8d313abbffe"),
+    (["split", "--p", 31, "--q", 2], "bd61b7be3dab092bf9347f6c7d7bbd8536c6bf3c57db809e625abc582a7dc155"),
+    (["symbol", "--p", 5, "--q", 11, "--w", 3, "--alpha", "[2,1,0,0]"],
+     "76a24ce30dd1c3e66f0fa255d6405e26399e62c9ce886ac424b43d24e14d8b9a"),
+    (["symbol", "--p", 5, "--q", 19, "--modulus", "1,15,1", "--alpha", "[2,1,0,0]"],
+     "1512d88756af787ea3f78e136763353315ec5d439cbcc6b60e7434a54979046a"),
+    (["units", "--p", 13], "b34af8b4928182b4795ae59ce00355812a9d3f4e4ccbae4c65414ca133e70c4c"),
+    (["irregular", "--p", 37], "5796b21598f6bf809541818b0c1ef65c1effbd5928596baca25fd2303a207043"),
+    (["irregular", "--p", 59], "a4659b3f10b30257d24e0c4f94df7ae03b8ad77621364df9be9fef5741620e01"),
+    (["irregular", "--p", 101], "37eaf6fc54a1298993851724f281fec3736d8b04afb653d55e2167846a5458da"),
+    (["hminus", "--p", 37], "ee2511bf534f5f08a0864b57f920bfefdff458567a54968c415742aef279f381"),
+    (["hminus", "--p", 59], "9b5d75af8f71138ee7e8d584743f291c1c2074b477415c9127bbbed80fd26748"),
+    (["hminus", "--p", 101], "ac145c3f9dd413046f3706083a4164c6eabebb1a1e7c42e68f9a5956ac281182"),
+    (["vandiver", "--p", 37, "--k", 32], "df515b02b3b6cea5a13a645c5ee882b628d5ebd73653b21de03510f6ad2c45c8"),
+    (["telescope", "--pmax", 50], "2ac1374ce3215e0c658958b0f3ccabe21b1597110839854ca7ca752b93664abe"),
+    (["barlow", "--p", 3, "--x", 1, "--y", 7, "--z", 8],
+     "dddb3cc468141740e1b0d29688cbeda6fb86ab14ddd337aa3edc54b5b3d48237"),
+]
+# scan (p, x, y, sign) -> (scan stdout hash, verify stdout hash); the
+# minus scan at p = 5 hits q = 101, where the specialization triggers
+GOLDEN_SCANS = [
+    ((101, 4, 1, "plus"), "8d1f0b8e88c863dd1623187cca3c4010d3f1b572f00c72df0d903ba03da17386",
+     "48dd09e5c5237c46e2eabb1b4cf026acc50e34cae5aa556dcdee59bc3a3688ee"),
+    ((31, 3, 1, "plus"), "3fdadb057983d7bb991a3a4f75fb48387728d288fe87574447e0db79575fb1b7",
+     "e2bfb7d723c7ec65de283fd0be5866af1dad18be90a0400fb53393bc6b804ec2"),
+    ((5, 7, 3, "minus"), "11c919c936920deaf76d4b908f6372cb762fa8b3d7fb510382bdac29ed4cbab5",
+     "5c6272b5f04a084e9d27e8c65209f042495d3f83493500ce6dc3a7ca3440de3e"),
+    ((41, 2, 1, "minus"), "5aaa50bbb04f4fc748700c87ab348e548e9e85619004e0d12e0455803aa973a5",
+     "fa8d67f4766d0190f4b4b222693f185475667a4975818d4e9408e18c136370c5"),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=["-".join(str(a).lstrip("-") for a in argv) for argv, _ in GOLDEN])
+def test_golden_output(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, sha256(out)) == (0, digest)
+
+
+@pytest.mark.parametrize("case, scan_digest, verify_digest", GOLDEN_SCANS,
+                         ids=["-".join(map(str, c)) for c, _, _ in GOLDEN_SCANS])
+def test_golden_scan_verify(capsys, tmp_path, case, scan_digest, verify_digest):
+    p, x, y, sign = case
+    code, out, _ = run_cli(capsys, "scan", "--p", p, "--x", x, "--y", y, "--sign", sign)
+    assert (code, sha256(out)) == (0, scan_digest)
+    infile = write_lines(tmp_path / "scan.jsonl", out.splitlines())
+    code, out, _ = run_cli(capsys, "verify", "--in", infile)
+    assert (code, sha256(out)) == (0, verify_digest)

@@ -5,12 +5,14 @@ import random
 import pytest
 from sympy import GF, Poly, symbols
 
+from cyclores import resfield
 from cyclores.cycint import CycInt, cyc_new, cyc_zero, field_ctx
 from cyclores.cycunits import inv_one_plus_zeta, unit_minus
 from cyclores.ntheory import is_prime, multiplicative_order
 from cyclores.resfield import (
     ResidueDegreeError,
     _fmul,
+    _fpow,
     galois_image,
     ideal_dividing,
     ideal_from_modulus,
@@ -46,6 +48,37 @@ def fpow(u, e, ideal):
     for _ in range(e):
         out = fmul(out, u, ideal)
     return out
+
+
+def horner_residue(a, ideal):
+    """Oracle: evaluate a's coefficients at w by Horner's rule."""
+    q, f = ideal.q, ideal.f
+    if f == 1:
+        acc = 0
+        for c in reversed(a.coeffs):
+            acc = (acc * ideal.w + c) % q
+        return acc
+    acc = (0,) * f
+    for c in reversed(a.coeffs):
+        acc = _fmul(acc, ideal.w, ideal.field_modulus, q, f)
+        acc = ((acc[0] + c) % q,) + acc[1:]
+    return acc
+
+
+def frobenius_galois_image(ideal, k):
+    """Oracle: the image's root w^(1/k) and its conjugates by repeated
+    q-th powers, looked up in the canonical split."""
+    ctx, q, f = ideal.ctx, ideal.q, ideal.f
+    inv = pow(k, -1, ctx.p)
+    if f == 1:
+        return ideal_from_root(ctx, q, pow(ideal.w, inv, q))
+    conj = _fpow(ideal.w, inv, ideal.field_modulus, q, f)
+    orbit = []
+    for _ in range(f):
+        orbit.append(conj)
+        conj = _fpow(conj, q, ideal.field_modulus, q, f)
+    assert conj == orbit[0]  # the orbit closes after f steps
+    return next(cand for cand in split_prime(ctx, q) if cand.w == min(orbit))
 
 
 def test_split_examples_p5():
@@ -158,6 +191,31 @@ def test_residue_examples():
     assert residue(cyc_new(CTX5, [(2, 1)]), ideal) == (18, 14)
 
 
+# (p, q) with f = 1, 2, 3, 4, 4 (inert) and q = 2 (f = 5)
+RESIDUE_CASES = [(5, 11), (5, 19), (7, 11), (13, 5), (5, 7), (31, 2)]
+
+
+@pytest.mark.parametrize("p, q", RESIDUE_CASES)
+def test_residue_matches_horner(p, q):
+    rng = random.Random(p * q)
+    ctx = field_ctx(p)
+    ideals = split_prime(ctx, q)
+    assert ideals[0].f == multiplicative_order(q, p)
+    draws = [
+        lambda: rng.randrange(-9, 10),  # negative and small
+        lambda: rng.randrange(q, 50 * q),  # past q
+        lambda: -rng.randrange(q, 50 * q),
+        lambda: rng.randrange(-(1 << 3000), 1 << 3000),  # thousands of bits
+    ]
+    for ideal in ideals:
+        for draw in draws:
+            for _ in range(5):
+                a = CycInt(ctx, tuple(draw() for _ in range(p - 1)))
+                assert residue(a, ideal) == horner_residue(a, ideal)
+        a = CycInt(ctx, tuple(-(q**200) - i for i in range(p - 1)))
+        assert residue(a, ideal) == horner_residue(a, ideal)
+
+
 def test_residue_is_ring_homomorphism():
     rng = random.Random(7)
     for p, q in ((5, 11), (5, 19), (5, 7), (7, 29), (7, 2), (7, 3)):
@@ -202,6 +260,28 @@ def test_ideal_dividing_preconditions():
         ideal_dividing(CTX5, 11, 2, 1, 2)
 
 
+def test_ideal_dividing_checks_before_primality(monkeypatch):
+    # a primality test costs time that grows with q; the sign, q mod p
+    # and p*x*y mod q are checked first
+    calls = []
+    real = resfield.is_prime
+    monkeypatch.setattr(resfield, "is_prime", lambda n: calls.append(n) or real(n))
+    huge = 10**1500 + 3  # 1501 digits, 3 mod 5
+    with pytest.raises(ResidueDegreeError):
+        ideal_dividing(CTX5, huge, 2, 1, 1)
+    with pytest.raises(ValueError):
+        ideal_dividing(CTX5, huge, 2, 1, 0)
+    with pytest.raises(ResidueDegreeError):
+        ideal_dividing(CTX5, 5, 2, 1, 1)  # q = p: ramified
+    with pytest.raises(ValueError):
+        ideal_dividing(CTX5, 11, 2, 11, 1)  # q | p*x*y
+    assert calls == []
+    with pytest.raises(ValueError):
+        ideal_dividing(CTX5, 21, 2, 1, 1)  # 1 mod 5, composite
+    assert ideal_dividing(CTX5, 11, 2, 1, 1).w == 5
+    assert calls == [21, 11]
+
+
 def test_ideal_from_root_validation():
     with pytest.raises(ValueError):
         ideal_from_root(CTX5, 11, 2)  # order of 2 mod 11 is 10, not 5
@@ -227,6 +307,23 @@ def test_galois_image_f2_stays_canonical():
         for k in range(1, 5):
             img = galois_image(ideal, k)
             assert img in ideals
+
+
+# at p = 13, k^2 lies outside <q> for some k at each f, so a root
+# w^k in place of w^(1/k) lands on another ideal
+@pytest.mark.parametrize("p, q", [(13, 53), (13, 103), (13, 3), (13, 5), (7, 2)])
+def test_galois_image_matches_frobenius_orbit(p, q):
+    ctx = field_ctx(p)
+    ideals = split_prime(ctx, q)
+    moved = 0
+    for ideal in ideals:
+        for k in range(1, p):
+            img = galois_image(ideal, k)
+            assert img == frobenius_galois_image(ideal, k), (ideal.w, k)
+            assert img in ideals and galois_image(img, pow(k, -1, p)) == ideal
+            moved += img != frobenius_galois_image(ideal, pow(k, -1, p))
+    assert moved or p == 7  # at (7, 2) k and 1/k always share a coset
+    assert {ideal.f for ideal in ideals} == {multiplicative_order(q, p)}
 
 
 def test_splitting_is_deterministic_and_frozen():
