@@ -86,6 +86,14 @@ def _emit(obj, out=None) -> None:
     print(_dump(obj), file=out or sys.stdout)
 
 
+def _loads(text: str):
+    """json.loads, with nesting past the decoder's limit as bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cyclores", description=__doc__)
@@ -159,7 +167,7 @@ def _cmd_symbol(args) -> int:
     else:
         coeffs = [int(c) for c in args.modulus.split(",")]
         ideal = ideal_from_modulus(ctx, args.q, coeffs)
-    alpha = cyc_from_json(ctx, json.loads(args.alpha))
+    alpha = cyc_from_json(ctx, _loads(args.alpha))
     e = symbol(alpha, ideal)
     _emit({
         "alpha": coeffs_to_json(alpha),
@@ -267,7 +275,7 @@ def _read_records(path: str) -> list[tuple[dict, ScanRecord | None]]:
         if not line:
             continue
         try:
-            data = json.loads(line)
+            data = _loads(line)
             if not isinstance(data, dict):
                 raise TypeError("a record must be a JSON object")
             if data.get("partial"):

@@ -423,17 +423,14 @@ def barlow_abel_check(p: int, x: int, y: int, z: int) -> BarlowAbelReport:
     checks = []
 
     root = kth_root_exact(x + y, p)
-    checks.append(
-        BarlowCheck(
-            "x+y is a p-th power",
-            root is not None,
-            f"x+y = {x + y}" + (f" = ({root})^{p}" if root is not None else ""),
-        )
-    )
+    detail = f"x+y = {int_to_decimal(x + y)}"
+    if root is not None:
+        detail += f" = ({int_to_decimal(root)})^{p}"
+    checks.append(BarlowCheck("x+y is a p-th power", root is not None, detail))
 
     s = x + z
     holds = False
-    detail = f"x+z = {s}"
+    detail = f"x+z = {int_to_decimal(s)}"
     if s != 0:
         v, rest = valuation(s, p)
         if v >= p - 1 and (v + 1) % p == 0:
@@ -441,17 +438,17 @@ def barlow_abel_check(p: int, x: int, y: int, z: int) -> BarlowAbelReport:
             r = kth_root_exact(rest, p)
             if r is not None:
                 holds = True
-                detail = f"x+z = {s} = {p}^{v} * ({r})^{p}, nu = {nu}"
+                detail += f" = {p}^{v} * ({int_to_decimal(r)})^{p}, nu = {nu}"
     checks.append(BarlowCheck(f"x+z = {p}^(nu*p-1) * (p-th power)", holds, detail))
 
-    checks.append(BarlowCheck("p divides y", y % p == 0, f"y = {y}"))
+    checks.append(BarlowCheck("p divides y", y % p == 0, f"y = {int_to_decimal(y)}"))
 
     pairwise = gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(x, z) == 1
     checks.append(BarlowCheck("x, y, z pairwise coprime", pairwise, ""))
 
     total = x**p + y**p + z**p
     checks.append(
-        BarlowCheck("x^p + y^p + z^p = 0", total == 0, f"sum = {total}")
+        BarlowCheck("x^p + y^p + z^p = 0", total == 0, f"sum = {int_to_decimal(total)}")
     )
     return BarlowAbelReport(p=p, x=x, y=y, z=z, checks=tuple(checks))
 

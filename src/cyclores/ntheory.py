@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 
 __all__ = [
     "PSI_12",
@@ -18,32 +18,34 @@ __all__ = [
     "valuation",
 ]
 
-# Strong-pseudoprime tests to the first 12 prime bases, 2..37, prove
-# primality below PSI_12, the least composite that passes all of them
-# (Sorenson and Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 PSI_12 = 318665857834031151167461
-_TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by small primes, then strong-pseudoprime tests.
+    """Sieve lookup below 2^11, one gcd with the primes below 2^11, then
+    strong-pseudoprime tests.
 
-    False is always proven, by a divisor or a witness base.  True is
-    proven below PSI_12 (about 3.19e23); an n >= PSI_12 that passes every
-    base raises ValueError instead.
+    Below 2^64 the bases are Jim Sinclair's seven (2011), each reduced
+    mod n and a 0 skipped, which admit no composite there: checked
+    against Feitsma and Galway's list of every base-2 strong pseudoprime
+    below 2^64.  Above, they are the twelve primes 2..37, which admit none
+    below PSI_12 (about 3.19e23), the least composite passing them all
+    (Sorenson and Webster, Math. Comp. 86 (2017)).  False is always
+    proven, by a divisor or a witness base; an n >= PSI_12 that passes
+    every base raises ValueError instead of returning True.
     """
-    if n < 2:
+    if n < 2048:
+        return n in _SMALL_PRIMES
+    if gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for r in _TRIAL:
-        if n == r:
-            return True
-        if n % r == 0:
-            return False
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _SINCLAIR_BASES if n < 1 << 64 else _MR_BASES:
+        if a % n == 0:  # n divides a Sinclair base
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -69,6 +71,10 @@ def primes_upto(limit: int) -> tuple[int, ...]:
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
     return tuple(i for i, f in enumerate(flags) if f)
+
+
+_SMALL_PRIMES = frozenset(primes_upto(2047))
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -1,10 +1,11 @@
 """Regularity data for prime cyclotomic fields.
 
-Exact Bernoulli numbers, irregular pairs from the Bernoulli numbers
-modulo p (one Newton inversion of a power series over F_p), the
-relative class number h^- reconstructed by CRT from its residues
-modulo word primes under an exact bound on h^- itself, and one-sided
-witnesses that a cyclotomic-unit eigencomponent is not a p-th power.
+Exact Bernoulli numbers, irregular pairs from Voronoi's congruence
+modulo p, the relative class number h^- rebuilt by CRT from its
+residues modulo word primes under an exact bound on h^- itself, and
+one-sided witnesses that a cyclotomic-unit eigencomponent is not a
+p-th power.  The irregular pairs and each residue of h^- are values of
+one chirp-z transform, ``_odd_transform``.
 
 Every function taking a prime p accepts only odd primes p < P_MAX = 2^20
 (``cycint.check_p``) and raises ValueError otherwise, before it builds
@@ -19,6 +20,7 @@ failure of Vandiver's conjecture.
 from __future__ import annotations
 
 import threading
+from itertools import accumulate, islice, repeat
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -85,45 +87,30 @@ def bernoulli(n: int) -> Fraction:
     return _bern[n]
 
 
-def _bernoulli_mod_p(p: int) -> list[int]:
-    """B_n mod p for 0 <= n <= p-3, all p-integral there (von Staudt-Clausen).
-
-    Inverts (e^x - 1)/x = sum_i x^i/(i+1)! as a power series over F_p;
-    the inverse x/(e^x - 1) has coefficients B_n/n!.  Newton iteration
-    doubles the precision of the inverse g each step: if f*g = 1 + x^k*e
-    mod x^(2k), then g - x^k*e*g is the inverse mod x^(2k).  Both
-    truncated products are Kronecker-packed integer products, and the
-    inverse factorials come from one modular inversion.
-    """
-    size = p - 2
-    fact = [1] * (size + 1)
-    for i in range(1, size + 1):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [1] * (size + 1)
-    inv_fact[size] = pow(fact[size], -1, p)
-    for i in range(size, 1, -1):
-        inv_fact[i - 1] = inv_fact[i] * i % p
-    series = inv_fact[1:]
-    inverse = [1]
-    while len(inverse) < size:
-        k = len(inverse)
-        n = min(2 * k, size)
-        error = _mul_mod(series[:n], inverse, p, k, n)
-        inverse += [-c % p for c in _mul_mod(inverse[: n - k], error, p, 0, n - k)]
-    return [c * f % p for c, f in zip(inverse, fact)]
-
-
-def _mul_mod(a: list[int], b: list[int], p: int, lo: int, hi: int) -> list[int]:
-    """Coefficients lo..hi-1 of a*b over F_p; a and b hold values in [0, p)."""
-    bound = min(len(a), len(b)) * (p - 1) ** 2
-    return [c % p for c in kronecker_mul(a, b, bound, lo, hi)]
-
-
 def irregular_pairs(p: int) -> list[IrregularPair]:
-    """All even k in [2, p-3] with p | numerator(B_k); empty iff p regular."""
+    """All even k in [2, p-3] with p | numerator(B_k); empty iff p regular.
+
+    Voronoi's congruence, g prime to p and k even: (g^k - 1) B_k =
+    k g^(k-1) sum_{0<j<p} j^(k-1) floor(jg/p) (mod p) (Buhler, Crandall,
+    Ernvall and Metsankyla, Math. Comp. 61 (1993); Buhler and Harvey,
+    Irregular primes to 163 million, Math. Comp. 80 (2011)).  For g the
+    least primitive root and 2 <= k <= p-3, g^k - 1, k and g are units,
+    so p | B_k iff the sum vanishes.  Pairing j with p - j halves it, as
+    floor((p-j)g/p) = g - 1 - floor(jg/p) and (p-j)^(k-1) = -j^(k-1):
+    over j = g^i mod p, i < m = (p-1)/2, it is G(g^(k-1)) with
+    G(T) = sum_i c_i T^i, c_i = 2 floor(g (g^i mod p)/p) - g + 1.  With
+    k - 1 = 2k' + 1, k' < m - 1, one ``_odd_transform`` gives them all.
+    """
     check_p(p)
-    bern = _bernoulli_mod_p(p)
-    return [IrregularPair(p, k) for k in range(2, p - 2, 2) if bern[k] == 0]
+    g = primitive_root(p)
+    coeffs = [2 * (g * a // p) - g + 1 for a in _powers(g, (p - 1) // 2, p)]
+    values = _odd_transform(coeffs, (p - 3) // 2, g, p)
+    return [IrregularPair(p, 2 * k + 2) for k, v in enumerate(values) if v == 0]
+
+
+def _powers(g: int, count: int, p: int) -> list[int]:
+    """g^i mod p for i < count."""
+    return list(islice(accumulate(repeat(g), lambda a, b: a * b % p, initial=1), count))
 
 
 def h_minus(p: int) -> int:
@@ -149,12 +136,7 @@ def h_minus(p: int) -> int:
     check_p(p)
     n = p - 1
     m = n // 2
-    g = primitive_root(p)
-    coeffs = []
-    a = 1
-    for _ in range(m):
-        coeffs.append(2 * a - p)
-        a = a * g % p
+    coeffs = [2 * a - p for a in _powers(primitive_root(p), m, p)]
     bound = sum(c * c for c in coeffs) ** m // (2 * p) ** (2 * m - 2)
     scale = (-1) ** m * (2 * p) ** (m - 1)
     value, modulus = 0, 1
@@ -176,36 +158,41 @@ def h_minus(p: int) -> int:
 
 
 def _odd_character_product(coeffs: list[int], n: int, ell: int) -> int:
-    """prod_{k<m} G(omega^(2k+1)) mod ell, omega of order n in F_ell.
-
-    Chirp-z (Bluestein): 2kt = k^2 + t^2 - (k-t)^2 turns the m values
-    into omega^(k^2) * C[k+m-1], C the convolution of
-    A_t = c_t omega^(t^2+t) with B_d = omega^(-(d-m+1)^2); the chirps are
-    built incrementally and C is one Kronecker-packed integer product.
-    """
+    """prod_{k<m} G(omega^(2k+1)) mod ell, omega of order n in F_ell: the
+    transform's values times omega^(sum_{k<m} k^2)."""
     m = len(coeffs)
     omega = root_of_unity(n, ell)
+    total = pow(omega, (m - 1) * m * (2 * m - 1) // 6 % n, ell)
+    for value in _odd_transform(coeffs, m, omega, ell):
+        total = total * value % ell
+    return total
+
+
+def _odd_transform(coeffs: list[int], count: int, omega: int, ell: int) -> list[int]:
+    """G(omega^(2k+1)) * omega^(-k^2) mod ell for k < count, ell prime,
+    G(T) = sum_t coeffs[t] T^t and omega a unit mod ell.
+
+    Chirp-z (Bluestein): 2kt = k^2 + t^2 - (k-t)^2 turns the values into
+    C[k+m-1], m = len(coeffs), C the convolution of A_t = c_t omega^(t^2+t)
+    with B_d = omega^(-(d-m+1)^2), one Kronecker-packed integer product.
+    """
+    m = len(coeffs)
+    chirp_a = [c * z % ell for c, z in zip(coeffs, _chirp(omega, 1, m, ell))]
+    chirp_b = _chirp(pow(omega, -1, ell), 0, max(m, count), ell)
+    chirp_b = chirp_b[m - 1 : 0 : -1] + chirp_b[:count]
+    conv = kronecker_mul(chirp_a, chirp_b, m * (ell - 1) ** 2, m - 1, m - 1 + count)
+    return [c % ell for c in conv]
+
+
+def _chirp(omega: int, c: int, count: int, ell: int) -> list[int]:
+    """omega^(s^2 + c*s) mod ell for s < count, by the ratios omega^(2s+1+c)."""
     omega2 = omega * omega % ell
-    chirp_a, step = [], omega2  # omega^(t^2+t); ratio omega^(2t+2)
-    cur = 1
-    for c in coeffs:
-        chirp_a.append(c * cur % ell)
+    out, cur, step = [], 1, pow(omega, 1 + c, ell)
+    for _ in range(count):
+        out.append(cur)
         cur = cur * step % ell
         step = step * omega2 % ell
-    inv_omega = pow(omega, -1, ell)
-    inv_omega2 = inv_omega * inv_omega % ell
-    chirp_b, step = [], inv_omega  # omega^(-s^2); ratio omega^(-2s-1)
-    cur = 1
-    for _ in range(m):
-        chirp_b.append(cur)
-        cur = cur * step % ell
-        step = step * inv_omega2 % ell
-    chirp_b = chirp_b[:0:-1] + chirp_b
-    conv = kronecker_mul(chirp_a, chirp_b, m * (ell - 1) ** 2, m - 1, 2 * m - 1)
-    total = pow(omega, (m - 1) * m * (2 * m - 1) // 6 % n, ell)
-    for c in conv:
-        total = total * c % ell
-    return total
+    return out
 
 
 def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | None:

@@ -12,7 +12,7 @@ import sympy
 import cyclores
 from cyclores import cli, resfield
 from cyclores.cli import run
-from cyclores.cycint import InternalError, field_ctx, int_from_json
+from cyclores.cycint import InternalError, field_ctx, int_from_json, int_to_decimal
 from cyclores.fltharness import MINUS, PLUS, record_to_json, scan
 
 
@@ -92,6 +92,10 @@ def test_vandiver_regular_pair_is_usage_error(capsys):
     assert out == ""
 
 
+# past the JSON decoder's recursion limit: RecursionError, not a ValueError
+DEEP_JSON = "[" * 100_000
+
+
 def genuine_record():
     return record_to_json(scan(field_ctx(5), 2, 1, PLUS, 10**6)[0])
 
@@ -156,10 +160,11 @@ def test_verify_edited_q(capsys, tmp_path, q):
     edited(ideal={**genuine_record()["ideal"], "q": 31}),
     edited(ideal={**genuine_record()["ideal"], "modulus": ["5", "1"]}),
     edited(ideal={**genuine_record()["ideal"], "modulus": "61"}),
+    DEEP_JSON,
 ], ids=["not-an-object", "truncated", "partial-without-cofactor", "no-sign", "list-sign",
         "null-zeta", "null-x+y", "float-symbol", "float-q", "bool-y",
         "element-exponent-plus-p", "zeta-exponent-plus-p", "negative-unit-exponent",
-        "q-mod-p2", "ideal-q", "ideal-modulus", "ideal-modulus-string"])
+        "q-mod-p2", "ideal-q", "ideal-modulus", "ideal-modulus-string", "nested-too-deep"])
 def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     infile = write_lines(tmp_path / "bad.jsonl", [genuine_record(), bad])
     code, out, _ = run_cli(capsys, "verify", "--in", infile)
@@ -207,6 +212,7 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
     SYMBOL5 + ["--alpha", "[1.5,1,2,3]"],
     SYMBOL5 + ["--alpha", "[true,1,2,3]"],
     SYMBOL5 + ["--alpha", '"1234"'],
+    SYMBOL5 + ["--alpha", DEEP_JSON],
     SYMBOL_PSI12,
     SYMBOL_PSI13,
 ], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
@@ -217,7 +223,8 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
         "units-p-over-units-ceiling", "telescope-pmax-over-telescope-ceiling",
         "hminus-p-over-hminus-ceiling",
         "alpha-int", "alpha-null", "alpha-list",
-        "alpha-float", "alpha-bool", "alpha-string", "symbol-q-psi12", "symbol-q-psi13"])
+        "alpha-float", "alpha-bool", "alpha-string", "alpha-nested-too-deep",
+        "symbol-q-psi12", "symbol-q-psi13"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
     argv = [str(a).replace("{missing}", str(tmp_path / "absent")) for a in argv]
     code, out, err = run_cli(capsys, *argv)
@@ -256,6 +263,23 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: invariant failed\n"
+
+
+def test_recursion_error_outside_json_decoding_exits_3(capsys, monkeypatch):
+    def runaway(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._HANDLERS, "hminus", runaway)
+    code, out, err = run_cli(capsys, "hminus", "--p", "37")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error:")
+
+
+def test_barlow_sum_past_4300_digits(capsys):
+    code, out, err = run_cli(capsys, "barlow", "--p", 2003, "--x", 150, "--y", 1, "--z", 1)
+    assert (code, err) == (0, "")
+    checks = one_json(out)["checks"]
+    assert checks[-1]["detail"] == "sum = " + int_to_decimal(150**2003 + 2)
 
 
 def test_scan_partial_line_past_4300_digits(capsys):

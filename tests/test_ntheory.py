@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 from sympy.ntheory import n_order
@@ -31,6 +33,27 @@ def test_is_prime_large_strong_pseudoprime_inputs():
     assert is_prime(2**61 - 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+# strong pseudoprimes to base 2; the last is strong to every base up to 23
+STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051)
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + (
+    2039, 2053,  # the primes on each side of 2^11, where lookup ends
+    2**64 - 59, 2**64 + 13,  # and of 2^64, where the base sets change
+    407521, 299210837, 407521**2,  # primes dividing a base of Sinclair's set
+))
+def test_is_prime_matches_sympy_at_the_edges(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_matches_sympy_on_random_odd_numbers_below_2_64():
+    rng = random.Random(2**64)
+    for _ in range(20000):
+        n = rng.randrange(2**40, 2**64) | 1
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_is_prime_refuses_pseudoprimes_past_psi_12():

@@ -5,7 +5,7 @@ from operator import mul
 import pytest
 
 from cyclores import regulab
-from cyclores.cycint import InternalError, cyc_mul, cyc_one, field_ctx, galois
+from cyclores.cycint import InternalError, cyc_mul, cyc_one, field_ctx, galois, kronecker_mul
 from cyclores.cycunits import unit_minus
 from cyclores.ntheory import factorize, is_prime, primes_upto, primitive_root
 from cyclores.powsym import symbol
@@ -77,6 +77,50 @@ def bernoulli_mod_p_recurrence(p):
     for n in range(1, size):
         inverse.append(-sum(map(mul, series[1 : n + 1], reversed(inverse))) % p)
     return [c * fact[n] % p for n, c in enumerate(inverse)]
+
+
+def bernoulli_mod_p_newton(p):
+    """B_n mod p for 0 <= n <= p-3, all p-integral there (von Staudt-Clausen).
+
+    Inverts (e^x - 1)/x = sum_i x^i/(i+1)! as a power series over F_p;
+    the inverse x/(e^x - 1) has coefficients B_n/n!.  Newton iteration
+    doubles the precision of the inverse g each step: if f*g = 1 + x^k*e
+    mod x^(2k), then g - x^k*e*g is the inverse mod x^(2k).  Both
+    truncated products are Kronecker-packed integer products, and the
+    inverse factorials come from one modular inversion.
+    """
+    size = p - 2
+    fact = [1] * (size + 1)
+    for i in range(1, size + 1):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [1] * (size + 1)
+    inv_fact[size] = pow(fact[size], -1, p)
+    for i in range(size, 1, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    series = inv_fact[1:]
+    inverse = [1]
+    while len(inverse) < size:
+        k = len(inverse)
+        n = min(2 * k, size)
+        error = mul_mod(series[:n], inverse, p, k, n)
+        inverse += [-c % p for c in mul_mod(inverse[: n - k], error, p, 0, n - k)]
+    return [c * f % p for c, f in zip(inverse, fact)]
+
+
+def mul_mod(a, b, p, lo, hi):
+    """Coefficients lo..hi-1 of a*b over F_p; a and b hold values in [0, p)."""
+    bound = min(len(a), len(b)) * (p - 1) ** 2
+    return [c % p for c in kronecker_mul(a, b, bound, lo, hi)]
+
+
+def odd_transform_direct(coeffs, count, omega, ell):
+    """G(omega^(2k+1)) * omega^(-k^2) mod ell, term by term."""
+    out = []
+    for k in range(count):
+        z = pow(omega, 2 * k + 1, ell)
+        value = sum(c * pow(z, t, ell) for t, c in enumerate(coeffs))
+        out.append(value * pow(omega, -k * k, ell) % ell)
+    return out
 
 
 def odd_character_coeffs(p):
@@ -151,7 +195,31 @@ def test_irregular_pairs():
 
 def test_bernoulli_mod_p_matches_recurrence():
     for p in primes_upto(600)[1:]:
-        assert regulab._bernoulli_mod_p(p) == bernoulli_mod_p_recurrence(p), p
+        assert bernoulli_mod_p_newton(p) == bernoulli_mod_p_recurrence(p), p
+
+
+def test_irregular_pairs_match_newton_bernoulli():
+    # Voronoi's congruence against the power-series inverse.  At 40487
+    # the least primitive root 5 has 5^(p-1) = 1 mod p^2, so the sum at
+    # k = p - 1, one past the last even k, vanishes and must be left out
+    for p in primes_upto(3000)[1:] + (16381, 40487):
+        bern = bernoulli_mod_p_newton(p)
+        expected = [k for k in range(2, p - 2, 2) if bern[k] == 0]
+        assert [pair.k for pair in irregular_pairs(p)] == expected, p
+
+
+@pytest.mark.parametrize("ell", [37, 4611686018427387847])  # (1 << 62) - 57
+def test_odd_transform_matches_direct_sum(ell):
+    rng = random.Random(ell)
+    for n in (1, 2, 7, 18):
+        coeffs = [rng.randrange(-ell, ell) for _ in range(n)]
+        omega = rng.randrange(2, ell - 1)
+        for count in (0, 1, n - 1, n, n + 1, 2 * n + 3):
+            assert regulab._odd_transform(coeffs, count, omega, ell) == odd_transform_direct(
+                coeffs, count, omega, ell), (n, count)
+    extremes = [ell - 1] * 18  # every chirp product at its largest
+    assert regulab._odd_transform(extremes, 20, ell - 1, ell) == odd_transform_direct(
+        extremes, 20, ell - 1, ell)
 
 
 def mul_mod_schoolbook(a, b, p):
@@ -173,7 +241,7 @@ def test_mul_mod_matches_schoolbook(p):
             full = mul_mod_schoolbook(a, b, p)
             n = len(full)
             for lo, hi in [(0, n), (0, 1), (n - 1, n), (n // 3, n // 2), (la - 1, n), (0, 0)]:
-                assert regulab._mul_mod(a, b, p, lo, hi) == full[lo:hi], (la, lb, lo, hi)
+                assert mul_mod(a, b, p, lo, hi) == full[lo:hi], (la, lb, lo, hi)
 
 
 def test_irregular_pairs_match_exact_bernoulli():
