@@ -53,6 +53,8 @@ from .fltharness import (
     barlow_abel_check,
     conjugate_symmetry_report,
     furtwangler_report,
+    line_from_json,
+    partial_to_json,
     record_from_json,
     record_to_json,
     scan,

@@ -8,7 +8,9 @@ for bad input, JSON and decoding errors included) or an OSError exits
 ``--help`` prints the help text to stdout and ``run`` returns 0; it
 never ends the calling process.  Single results are printed as one
 JSON object; scans and verifications stream JSON lines.  Big integers
-are serialized as decimal strings.
+are serialized as decimal strings; integer options are read as JSON
+integers are (``cycint.int_from_json``).  ``verify`` reads the lines
+``scan`` writes (``fltharness``); its ``"skipped"`` list is always [].
 
 The argument parser is built once per process, on the first ``run``
 call, and reused by every later one: parsing only reads it.
@@ -28,7 +30,9 @@ from .cycint import (
     cyc_new,
     cyc_one,
     field_ctx,
+    int_from_json,
     int_to_decimal,
+    int_to_json,
 )
 from .cycunits import (
     inv_one_plus_zeta,
@@ -39,11 +43,13 @@ from .cycunits import (
     unit_product_check,
 )
 from .fltharness import (
-    _SIGN_VALUE,
+    MINUS,
+    PLUS,
     ScanRecord,
     conjugate_symmetry_report,
     furtwangler_report,
-    record_from_json,
+    line_from_json,
+    partial_to_json,
     record_to_json,
     scan,
     telescope_replay,
@@ -94,55 +100,72 @@ def _loads(text: str):
         raise ValueError(f"JSON nested too deeply: {exc}") from exc
 
 
+def _int_arg(text: str) -> int:
+    """An integer option; an error gives its length, not its value."""
+    try:
+        return int_from_json(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal integer ({len(text)} characters)") from None
+
+
+def _int_list_arg(text: str) -> list[int]:
+    """A comma-separated list of integers, each read as ``_int_arg`` reads one."""
+    try:
+        return [int_from_json(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of decimal integers ({len(text)} characters)") from None
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cyclores", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("split", help="prime ideals above q in the p-th cyclotomic field")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--q", type=_int_arg, required=True)
 
     sp = sub.add_parser("symbol", help="p-th power residue symbol exponent")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--w", type=int, help="root of unity labelling a degree-1 ideal")
-    sp.add_argument("--modulus", help="comma-separated modulus coefficients (f > 1)")
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--q", type=_int_arg, required=True)
+    sp.add_argument("--w", type=_int_arg, help="root of unity labelling a degree-1 ideal")
+    sp.add_argument("--modulus", type=_int_list_arg,
+                    help="comma-separated modulus coefficients (f > 1)")
     sp.add_argument("--alpha", required=True, help="JSON array of p-1 coefficients")
 
     sp = sub.add_parser("units", help="cyclotomic unit tables and identity checks")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int_arg, required=True)
 
     sp = sub.add_parser("irregular", help="irregular pairs (p, k)")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int_arg, required=True)
 
     sp = sub.add_parser("hminus", help="relative class number h^-")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int_arg, required=True)
 
     sp = sub.add_parser("vandiver", help="one-sided eigencomponent witness search")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--candidates", type=int, default=10)
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--k", type=_int_arg, required=True)
+    sp.add_argument("--candidates", type=_int_arg, default=10)
 
     sp = sub.add_parser("scan", help="factor (x^p +- y^p)/(x +- y) and record symbols")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--y", type=int, required=True)
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--x", type=_int_arg, required=True)
+    sp.add_argument("--y", type=_int_arg, required=True)
     sp.add_argument("--sign", choices=("plus", "minus"), required=True)
-    sp.add_argument("--trial-bound", type=int, default=1_000_000)
+    sp.add_argument("--trial-bound", type=_int_arg, default=1_000_000)
     sp.add_argument("--out", help="write JSON lines here instead of stdout")
 
     sp = sub.add_parser("verify", help="check identities on recorded scans")
     sp.add_argument("--in", dest="infile", required=True, help="JSON-lines records file")
 
     sp = sub.add_parser("telescope", help="replay telescoping symbol chains")
-    sp.add_argument("--pmax", type=int, required=True)
+    sp.add_argument("--pmax", type=_int_arg, required=True)
 
     sp = sub.add_parser("barlow", help="evaluate Barlow-Abel relation formats")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--y", type=int, required=True)
-    sp.add_argument("--z", type=int, required=True)
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--x", type=_int_arg, required=True)
+    sp.add_argument("--y", type=_int_arg, required=True)
+    sp.add_argument("--z", type=_int_arg, required=True)
 
     return parser
 
@@ -165,8 +188,7 @@ def _cmd_symbol(args) -> int:
     if args.w is not None:
         ideal = ideal_from_root(ctx, args.q, args.w)
     else:
-        coeffs = [int(c) for c in args.modulus.split(",")]
-        ideal = ideal_from_modulus(ctx, args.q, coeffs)
+        ideal = ideal_from_modulus(ctx, args.q, args.modulus)
     alpha = cyc_from_json(ctx, _loads(args.alpha))
     e = symbol(alpha, ideal)
     _emit({
@@ -242,19 +264,12 @@ def _cmd_vandiver(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    result = scan(field_ctx(args.p), args.x, args.y, _SIGN_VALUE[args.sign],
-                  args.trial_bound)
-    lines = [_dump(record_to_json(rec)) for rec in result]
+    sign = PLUS if args.sign == "plus" else MINUS
+    result = scan(field_ctx(args.p), args.x, args.y, sign, args.trial_bound)
+    lines = [record_to_json(rec) for rec in result]
     if result.unfactored_cofactor is not None:
-        lines.append(_dump({
-            "partial": True,
-            "p": args.p,
-            "x": args.x,
-            "y": args.y,
-            "sign": args.sign,
-            "unfactored_cofactor": int_to_decimal(result.unfactored_cofactor),
-        }))
-    text = "\n".join(lines) + ("\n" if lines else "")
+        lines.append(partial_to_json(args.p, args.x, args.y, sign, result.unfactored_cofactor))
+    text = "".join(_dump(line) + "\n" for line in lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -263,10 +278,10 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _read_records(path: str) -> list[tuple[dict, ScanRecord | None]]:
-    """Parse a JSON-lines records file completely, before anything is
-    emitted: (line data, record), or (report line, None) for a partial
-    scan.  A malformed line is a usage error naming its line number."""
+def _read_lines(path: str) -> list[ScanRecord | int]:
+    """Read a scan's JSON-lines file completely, before anything is
+    emitted (see ``fltharness.line_from_json``).  A malformed line is a
+    usage error naming its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     entries = []
@@ -275,14 +290,7 @@ def _read_records(path: str) -> list[tuple[dict, ScanRecord | None]]:
         if not line:
             continue
         try:
-            data = _loads(line)
-            if not isinstance(data, dict):
-                raise TypeError("a record must be a JSON object")
-            if data.get("partial"):
-                entries.append(({"skipped_partial": True,
-                                 "unfactored_cofactor": data["unfactored_cofactor"]}, None))
-            else:
-                entries.append((data, record_from_json(data)))
+            entries.append(line_from_json(_loads(line)))
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"{path}:{number}: bad record: {exc}") from exc
     return entries
@@ -291,9 +299,9 @@ def _read_records(path: str) -> list[tuple[dict, ScanRecord | None]]:
 def _cmd_verify(args) -> int:
     failures = 0
     count = 0
-    for data, rec in _read_records(args.infile):
-        if rec is None:
-            _emit(data)
+    for rec in _read_lines(args.infile):
+        if isinstance(rec, int):  # a partial line's unfactored cofactor
+            _emit({"skipped_partial": True, "unfactored_cofactor": int_to_decimal(rec)})
             continue
         count += 1
         cong = verify_congruences(rec)
@@ -305,21 +313,19 @@ def _cmd_verify(args) -> int:
             failures += 1
         _emit({
             "q": rec.q,
-            "x": rec.x,
-            "y": rec.y,
-            "sign": data["sign"],
+            "x": int_to_json(rec.x),
+            "y": int_to_json(rec.y),
+            "sign": "plus" if rec.sign == PLUS else "minus",
             "congruences_ok": cong.ok,
             "congruence_failures": [k for k, v in cong.per_k.items() if not v],
             "symbol_identities_ok": symid.ok,
-            "symbol_identity_failures": [
-                k for k, v in symid.per_k.items() if v == "fail"
-            ],
-            "skipped": [k for k, v in symid.per_k.items() if v == "skipped"],
+            "symbol_identity_failures": [k for k, v in symid.per_k.items() if not v],
+            "skipped": [],
             "specialization_triggered": symid.specialization_triggered,
             "zeta_consistency_ok": furt.consistency_ok,
             "p2_divides_q_minus_1": furt.p2_divides,
             "display_holds": furt.display_holds,
-            "conjugate_symmetric": all(v for v in conj.values() if v is not None),
+            "conjugate_symmetric": all(conj.values()),
         })
     _emit({"records": count, "failures": failures})
     return 0 if failures == 0 else 2
@@ -345,9 +351,9 @@ def _cmd_barlow(args) -> int:
     report = barlow_abel_check(args.p, args.x, args.y, args.z)
     _emit({
         "p": args.p,
-        "x": args.x,
-        "y": args.y,
-        "z": args.z,
+        "x": int_to_json(args.x),
+        "y": int_to_json(args.y),
+        "z": int_to_json(args.z),
         "checks": [
             {"name": c.name, "holds": c.holds, "detail": c.detail}
             for c in report.checks

@@ -53,6 +53,7 @@ __all__ = [
     "cyc_from_json",
     "int_from_json",
     "int_to_decimal",
+    "int_to_json",
 ]
 
 #: Exclusive upper limit on the prime p of any field this package builds;
@@ -63,7 +64,8 @@ P_MAX = 1 << 20
 def check_p(p: int) -> None:
     """Raise ValueError unless p is an odd prime below P_MAX."""
     if not 3 <= p < P_MAX or not is_prime(p):
-        raise ValueError(f"p={p} is not an odd prime below {P_MAX}")
+        shown = f"p={p}" if abs(p) < P_MAX else f"p of {p.bit_length()} bits"
+        raise ValueError(f"{shown} is not an odd prime below {P_MAX}")
 
 
 class ContextMismatchError(ValueError):
@@ -406,6 +408,17 @@ def int_to_decimal(n: int) -> str:
     half = int(n.bit_length() * _LOG10_2) // 2  # 10^half <= n
     hi, lo = divmod(n, 10**half)
     return int_to_decimal(hi) + int_to_decimal(lo).rjust(half, "0")
+
+
+def int_to_json(n: int) -> int | str:
+    """n as a JSON number, or as its decimal string (which ``int_from_json``
+    reads too) where str(), and so json.dumps, refuses it: past the
+    interpreter's digit limit."""
+    try:
+        str(n)
+    except ValueError:
+        return int_to_decimal(n)
+    return n
 
 
 def _int_from_decimal(digits: str) -> int:

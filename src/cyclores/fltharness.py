@@ -31,9 +31,12 @@ Labels used in the per-record symbol table:
     "unit_minus[J]"  (plus scans)  symbol of the minus-family unit, J = K+1
     "unit_plus[J]"   (minus scans) symbol of the plus-family unit, J = K+1
 
-A null value marks an element that was not coprime to the ideal; that
-cannot happen for genuine scan hits and is kept only so hand-built or
-edited JSON records fail soft.
+Every entry is an exponent in [0, p).
+
+A scan writes JSON lines of two kinds, and ``line_from_json`` reads
+both back: one record per located q (``record_to_json``), then, when a
+cofactor is left unfactored, one partial line (``partial_to_json``)
+holding ``"partial": true``, p, x, y, the sign and the cofactor.
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ from .cycint import (
     field_ctx,
     int_from_json,
     int_to_decimal,
+    int_to_json,
 )
 from .cycunits import unit_minus, unit_plus
 from .ntheory import is_prime, kth_root_exact, valuation
-from .powsym import NotCoprimeError, residue_symbol, symbol, zeta_symbol
+from .powsym import residue_symbol, symbol, zeta_symbol
 from .resfield import (
     PrimeIdealRep,
     ideal_dividing,
@@ -82,6 +86,8 @@ __all__ = [
     "furtwangler_report",
     "record_to_json",
     "record_from_json",
+    "partial_to_json",
+    "line_from_json",
 ]
 
 PLUS = 1
@@ -102,7 +108,7 @@ class ScanRecord(NamedTuple):
     q: int
     ideal: PrimeIdealRep
     q_mod_p2: int
-    symbols: dict[str, int | None]
+    symbols: dict[str, int]
 
 
 class ScanResult(Frozen):
@@ -151,13 +157,7 @@ def _trial_factors(p: int, n: int, trial_bound: int) -> tuple[list[int], int]:
     return found, rem
 
 
-def scan(
-    ctx: FieldCtx,
-    x: int,
-    y: int,
-    sign: int,
-    trial_bound: int,
-) -> ScanResult:
+def scan(ctx: FieldCtx, x: int, y: int, sign: int, trial_bound: int) -> ScanResult:
     """Factor (x^p + sign*y^p)/(x + sign*y) and record every located prime.
 
     Trial division runs over q = 1 (mod p) up to trial_bound (all other
@@ -207,9 +207,7 @@ def _unit_label(sign: int, j: int) -> str:
     return f"unit_minus[{j}]" if sign == PLUS else f"unit_plus[{j}]"
 
 
-def _build_record(
-    ctx: FieldCtx, x: int, y: int, sign: int, n_value: int, q: int
-) -> ScanRecord:
+def _build_record(ctx: FieldCtx, x: int, y: int, sign: int, n_value: int, q: int) -> ScanRecord:
     p = ctx.p
     if q % p != 1:
         raise InternalError(f"scan hit q={q} violates q = 1 mod p")
@@ -218,28 +216,13 @@ def _build_record(
     ideal = ideal_dividing(ctx, q, x, y, sign)
     if ideal is None:
         raise InternalError(f"no root-of-unity divisor of x*zeta+sign*y above q={q}")
-    symbols: dict[str, int | None] = {}
-    symbols["zeta"] = zeta_symbol(ideal)
-    symbols["x+y"] = symbol(cyc_int(ctx, x + y), ideal)
+    symbols = {"zeta": zeta_symbol(ideal), "x+y": symbol(cyc_int(ctx, x + y), ideal)}
     for k in range(1, p - 1):
-        try:
-            e = symbol(cyc_new(ctx, [(0, x), (k, y)]), ideal)
-        except NotCoprimeError:
-            e = None
-        symbols[_elem_label(k)] = e
+        # x + zeta^k y = x (1 -+ zeta^(k+1)) mod the ideal; neither factor lies in it
+        symbols[_elem_label(k)] = symbol(cyc_new(ctx, [(0, x), (k, y)]), ideal)
         unit = unit_minus(ctx, k + 1) if sign == PLUS else unit_plus(ctx, k + 1)
         symbols[_unit_label(sign, k + 1)] = symbol(unit, ideal)
-    return ScanRecord(
-        p=p,
-        x=x,
-        y=y,
-        sign=sign,
-        n=n_value,
-        q=q,
-        ideal=ideal,
-        q_mod_p2=q % (p * p),
-        symbols=symbols,
-    )
+    return ScanRecord(p, x, y, sign, n_value, q, ideal, q % (p * p), symbols)
 
 
 class CongruenceReport(NamedTuple):
@@ -264,20 +247,16 @@ def verify_congruences(rec: ScanRecord) -> CongruenceReport:
 class SymbolIdentityReport(NamedTuple):
     """Per-k outcome of the generalized symbol identity on a record.
 
-    per_k values are "ok", "fail" or "skipped".  ``specialization_triggered``
+    per_k[k] says whether the identity holds at k.  ``specialization_triggered``
     says whether the guards sym(x+y) = 0 and sym(zeta) = 0 of the
     dropped-terms form sym(x + zeta^k y) = sym(unit_{k+1}) hold on the
     record; under them that form is the full identity, so per_k checks
-    it too.
-
-    The identity is promised only at the ideal dividing x*zeta + s*y;
-    off that ideal "fail" is the expected answer.  "skipped" comes only
-    from a null entry in the record's symbol table, and ``ok`` ignores
-    it.
+    it too.  The identity is promised only at the ideal dividing
+    x*zeta + s*y; off that ideal a failure is the expected answer.
     """
 
     q: int
-    per_k: dict[int, str]
+    per_k: dict[int, bool]
     specialization_triggered: bool
     ok: bool
 
@@ -287,32 +266,24 @@ def verify_symbol_identities(rec: ScanRecord) -> SymbolIdentityReport:
 
     The identity rests on x + zeta^k y = x (1 -+ zeta^(k+1)), which holds
     only at the ideal dividing x*zeta + s*y (s the scan sign); for a
-    record built against another ideal "fail" is the expected answer,
-    not a fault.  A k is "skipped" only when its element or unit entry
-    in the symbol table is null, as a hand-built or edited JSON record
-    may carry; at the distinguished ideal neither x nor 1 -+ zeta^(k+1)
-    lies in the ideal, so a genuine scan never skips.
+    record built against another ideal a failure is the expected
+    answer, not a fault.
     """
     p = rec.p
-    inv2 = field_ctx(p).inv2
+    inv2 = rec.ideal.ctx.inv2
     zeta_e = rec.symbols["zeta"]
     base = rec.symbols["x+y"]
-    per_k: dict[int, str] = {}
+    per_k: dict[int, bool] = {}
     for k in range(1, p - 1):
-        lhs = rec.symbols[_elem_label(k)]
         unit_e = rec.symbols[_unit_label(rec.sign, k + 1)]
-        if lhs is None or unit_e is None:
-            per_k[k] = "skipped"
-            continue
-        rhs = (base + k * inv2 * zeta_e + unit_e) % p
-        per_k[k] = "ok" if lhs == rhs else "fail"
+        per_k[k] = rec.symbols[_elem_label(k)] == (base + k * inv2 * zeta_e + unit_e) % p
     return SymbolIdentityReport(
         q=rec.q, per_k=per_k, specialization_triggered=base == 0 and zeta_e == 0,
-        ok="fail" not in per_k.values(),
+        ok=all(per_k.values()),
     )
 
 
-def conjugate_symmetry_report(rec: ScanRecord) -> dict[int, bool | None]:
+def conjugate_symmetry_report(rec: ScanRecord) -> dict[int, bool]:
     """Whether sym(x + zeta^k y) = sym(x + zeta^(p-k) y), k = 2..p-2.
 
     Reported, never asserted: the relation holds only under hypotheses
@@ -320,12 +291,10 @@ def conjugate_symmetry_report(rec: ScanRecord) -> dict[int, bool | None]:
     not satisfy.
     """
     p = rec.p
-    out: dict[int, bool | None] = {}
-    for k in range(2, p - 1):
-        a = rec.symbols[_elem_label(k)]
-        b = rec.symbols[_elem_label(p - k)]
-        out[k] = None if a is None or b is None else a == b
-    return out
+    return {
+        k: rec.symbols[_elem_label(k)] == rec.symbols[_elem_label(p - k)]
+        for k in range(2, p - 1)
+    }
 
 
 class TelescopeReport(NamedTuple):
@@ -510,13 +479,13 @@ def furtwangler_report(rec: ScanRecord) -> FurtwanglerReport:
 
 
 # ----------------------------------------------------------------------
-# record serialization (JSON-lines friendly)
+# scan lines (JSON lines): records, then at most one partial line
 
 def record_to_json(rec: ScanRecord) -> dict:
     return {
         "p": rec.p,
-        "x": rec.x,
-        "y": rec.y,
+        "x": int_to_json(rec.x),
+        "y": int_to_json(rec.y),
         "sign": _SIGN_NAME[rec.sign],
         "N": int_to_decimal(rec.n),
         "q": rec.q,
@@ -532,10 +501,7 @@ def record_from_json(data: dict) -> ScanRecord:
     Every integer field is read by ``int_from_json``, so a null, bool,
     float or non-decimal value is a ValueError.  The redundant fields
     (``q_mod_p2``, the ideal's ``q`` and ``modulus``) must agree with q
-    and w, and every symbol exponent must lie in [0, p).  A symbol
-    entry may be null only where ``verify_symbol_identities`` can skip
-    it (an element or unit entry); "zeta" and "x+y" enter every check
-    and must be integers.
+    and w, and every symbol entry must be an exponent in [0, p).
     """
     p = int_from_json(data["p"])
     ctx = field_ctx(p)
@@ -561,7 +527,7 @@ def record_from_json(data: dict) -> ScanRecord:
     if (x * ideal.w + sign * y) % q != 0:
         raise ValueError("recorded ideal does not divide x*zeta + sign*y")
     symbols_raw = data["symbols"]
-    symbols: dict[str, int | None] = {}
+    symbols: dict[str, int] = {}
     expected = ["zeta", "x+y"]
     for k in range(1, p - 1):
         expected.append(_elem_label(k))
@@ -569,22 +535,42 @@ def record_from_json(data: dict) -> ScanRecord:
     for key in expected:
         if key not in symbols_raw:
             raise ValueError(f"record is missing symbol entry {key!r}")
-        v = symbols_raw[key]
-        if v is None and key not in ("zeta", "x+y"):
-            symbols[key] = None
-            continue
-        e = int_from_json(v)
+        e = int_from_json(symbols_raw[key])
         if not 0 <= e < p:
             raise ValueError(f"symbol entry {key!r} = {e} is not in [0, {p})")
         symbols[key] = e
-    return ScanRecord(
-        p=p,
-        x=x,
-        y=y,
-        sign=sign,
-        n=n_value,
-        q=q,
-        ideal=ideal,
-        q_mod_p2=q % (p * p),
-        symbols=symbols,
-    )
+    return ScanRecord(p, x, y, sign, n_value, q, ideal, q % (p * p), symbols)
+
+
+def partial_to_json(p: int, x: int, y: int, sign: int, cofactor: int) -> dict:
+    """The last line of a scan of (p, x, y, sign) that left ``cofactor`` unfactored."""
+    return {
+        "partial": True,
+        "p": p,
+        "x": int_to_json(x),
+        "y": int_to_json(y),
+        "sign": _SIGN_NAME[sign],
+        "unfactored_cofactor": int_to_decimal(cofactor),
+    }
+
+
+def line_from_json(data: object) -> ScanRecord | int:
+    """One scan line: a record, or the cofactor of a partial line.  In a
+    partial line "partial" must be true, p a prime ``field_ctx`` accepts,
+    x and y nonzero integers, the sign "plus" or "minus" and the cofactor
+    an integer above 1."""
+    if not isinstance(data, dict):
+        raise TypeError("a scan line must be a JSON object")
+    if "partial" not in data:
+        return record_from_json(data)
+    if data["partial"] is not True:
+        raise ValueError('a partial line must hold "partial": true')
+    if data["sign"] not in _SIGN_VALUE:
+        raise ValueError("the sign must be plus or minus")
+    field_ctx(int_from_json(data["p"]))
+    if 0 in (int_from_json(data["x"]), int_from_json(data["y"])):
+        raise ValueError("x and y must be nonzero")
+    cofactor = int_from_json(data["unfactored_cofactor"])
+    if cofactor <= 1:
+        raise ValueError("the unfactored cofactor must be above 1")
+    return cofactor

@@ -19,7 +19,6 @@ failure of Vandiver's conjecture.
 
 from __future__ import annotations
 
-import threading
 from itertools import accumulate, islice, repeat
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
@@ -61,7 +60,6 @@ class VandiverWitness(NamedTuple):
 
 
 _bern: list[Fraction] = []
-_bern_lock = threading.Lock()
 
 
 def bernoulli(n: int) -> Fraction:
@@ -73,17 +71,14 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n < len(_bern):
-        return _bern[n]
     from fractions import Fraction
 
-    with _bern_lock:
-        if not _bern:
-            _bern.append(Fraction(1))
-        while len(_bern) <= n:
-            m = len(_bern)
-            s = sum(comb(m + 1, j) * _bern[j] for j in range(m))
-            _bern.append(-s / (m + 1))
+    if not _bern:
+        _bern.append(Fraction(1))
+    while len(_bern) <= n:
+        m = len(_bern)
+        s = sum(comb(m + 1, j) * _bern[j] for j in range(m))
+        _bern.append(-s / (m + 1))
     return _bern[n]
 
 
@@ -205,7 +200,7 @@ def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | Non
     """
     pairs = {pair.k for pair in irregular_pairs(p)}
     if k not in pairs:
-        raise ValueError(f"({p}, {k}) is not an irregular pair")
+        raise ValueError(f"k is not the index of an irregular pair of p = {p}")
     if q_candidates < 1:
         raise ValueError("q_candidates must be >= 1")
     ctx = field_ctx(p)

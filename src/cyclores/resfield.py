@@ -299,12 +299,7 @@ def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
         z = root_of_unity(p, q)
         roots = sorted(pow(z, i, q) for i in range(1, p))
         return tuple(_degree_one(ctx, q, w) for w in roots)
-    phi = [1 % q] * p
-    if f == p - 1:
-        factors = [tuple(phi)]
-    else:
-        factors = _equal_degree_factor(phi, f, q)
-    m0 = min(factors)
+    m0 = min(_equal_degree_factor([1] * p, f, q))
     # every p-th root of unity is a power of t; orbits are cosets of <q>
     tpows: dict[int, tuple[int, ...]] = {}
     cur = _ftup((0, 1), f)

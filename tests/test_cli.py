@@ -110,6 +110,10 @@ def edited(**changes):
     return rec
 
 
+# the partial line of `scan --p 5 --x 6 --y 1 --sign plus --trial-bound 2`
+PARTIAL = {"partial": True, "p": 5, "x": 6, "y": 1, "sign": "plus", "unfactored_cofactor": "1111"}
+
+
 def write_lines(path, items):
     path.write_text("".join(
         (item if isinstance(item, str) else json.dumps(item)) + "\n" for item in items
@@ -161,10 +165,19 @@ def test_verify_edited_q(capsys, tmp_path, q):
     edited(ideal={**genuine_record()["ideal"], "modulus": ["5", "1"]}),
     edited(ideal={**genuine_record()["ideal"], "modulus": "61"}),
     DEEP_JSON,
+    edited(symbols={**genuine_record()["symbols"], "x+zeta^1*y": None}),
+    edited(symbols={**genuine_record()["symbols"], "unit_minus[2]": None}),
+    edited(symbols={key: None if key.startswith(("x+zeta", "unit")) else value
+                    for key, value in genuine_record()["symbols"].items()}),
+    {**PARTIAL, "partial": 1},
+    {**PARTIAL, "unfactored_cofactor": {"evil": [1, 2]}},
+    {**PARTIAL, "unfactored_cofactor": "1"},
 ], ids=["not-an-object", "truncated", "partial-without-cofactor", "no-sign", "list-sign",
         "null-zeta", "null-x+y", "float-symbol", "float-q", "bool-y",
         "element-exponent-plus-p", "zeta-exponent-plus-p", "negative-unit-exponent",
-        "q-mod-p2", "ideal-q", "ideal-modulus", "ideal-modulus-string", "nested-too-deep"])
+        "q-mod-p2", "ideal-q", "ideal-modulus", "ideal-modulus-string", "nested-too-deep",
+        "null-element", "null-unit", "all-null-table", "partial-1", "partial-cofactor-object",
+        "partial-cofactor-1"])
 def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     infile = write_lines(tmp_path / "bad.jsonl", [genuine_record(), bad])
     code, out, _ = run_cli(capsys, "verify", "--in", infile)
@@ -215,6 +228,16 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
     SYMBOL5 + ["--alpha", DEEP_JSON],
     SYMBOL_PSI12,
     SYMBOL_PSI13,
+    ["split", "--p", 5, "--q", "1" + "0" * 4400],
+    ["split", "--p", 5, "--q", "1" + "0" * 4400 + "x"],
+    ["irregular", "--p", "1" + "0" * 1000],
+    ["vandiver", "--p", 37, "--k", "1" + "0" * 1000],
+    ["irregular", "--p", "+11"],
+    ["irregular", "--p", "1_1"],
+    ["irregular", "--p", "\u0661\u0661"],
+    ["irregular", "--p", " 11"],
+    SYMBOL5[:-2] + ["--modulus", "8,+1", "--alpha", "[1,0,0,0]"],
+    SYMBOL5[:-2] + ["--modulus", "1," + "0" * 4400 + "_", "--alpha", "[1,0,0,0]"],
 ], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
         "vandiver-p-over-ceiling", "hminus-p-over-ceiling", "split-p3", "split-q-over-64-bits",
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
@@ -224,13 +247,16 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
         "hminus-p-over-hminus-ceiling",
         "alpha-int", "alpha-null", "alpha-list",
         "alpha-float", "alpha-bool", "alpha-string", "alpha-nested-too-deep",
-        "symbol-q-psi12", "symbol-q-psi13"])
+        "symbol-q-psi12", "symbol-q-psi13", "split-q-4401-digits", "split-q-not-a-number",
+        "irregular-p-1001-digits", "vandiver-k-1001-digits", "p-plus-sign", "p-underscore",
+        "p-arabic-indic-digits", "p-space", "modulus-plus-sign", "modulus-4402-characters"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
+    # the message stays short however long the input: it never echoes a value
     argv = [str(a).replace("{missing}", str(tmp_path / "absent")) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and len(err) < 200
 
 
 # the first odd number of 1501 digits with no prime factor below 50
@@ -280,6 +306,15 @@ def test_barlow_sum_past_4300_digits(capsys):
     assert (code, err) == (0, "")
     checks = one_json(out)["checks"]
     assert checks[-1]["detail"] == "sum = " + int_to_decimal(150**2003 + 2)
+
+
+def test_barlow_x_past_4300_digits(capsys):
+    x = 10**4399 + 7  # 4400 digits
+    code, out, err = run_cli(capsys, "barlow", "--p", 5, "--x", int_to_decimal(x), "--y", 1, "--z", 1)
+    assert (code, err) == (0, "")
+    line = one_json(out)
+    assert line["x"] == int_to_decimal(x) and line["y"] == 1
+    assert line["checks"][-1]["detail"] == "sum = " + int_to_decimal(x**5 + 2)
 
 
 def test_scan_partial_line_past_4300_digits(capsys):

@@ -1,3 +1,4 @@
+import json
 import sys
 from math import isqrt
 
@@ -24,6 +25,7 @@ from cyclores.cycint import (
     galois,
     int_from_json,
     int_to_decimal,
+    int_to_json,
     norm,
     zeta_power,
 )
@@ -289,6 +291,17 @@ def test_decimal_round_trip_past_the_str_limit():
         assert int_from_json(text) == n
         assert int_from_json(text.replace("-", "-000") if n < 0 else "000" + text) == n
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_int_to_json_writes_a_number_where_str_can():
+    for n in BIG_INTS:
+        try:
+            str(n)
+        except ValueError:  # past the interpreter's limit: a decimal string
+            assert int_to_json(n) == int_to_decimal(n)
+        else:
+            assert int_to_json(n) is n
+        assert int_from_json(json.loads(json.dumps(int_to_json(n)))) == n
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit")

@@ -4,7 +4,7 @@ from math import gcd, isqrt
 import pytest
 import sympy
 
-from cyclores.cycint import cyc_int, cyc_new, field_ctx
+from cyclores.cycint import cyc_int, cyc_new, field_ctx, int_to_decimal
 from cyclores.cycunits import unit_minus
 from cyclores.fltharness import (
     MINUS,
@@ -13,6 +13,8 @@ from cyclores.fltharness import (
     barlow_abel_check,
     conjugate_symmetry_report,
     furtwangler_report,
+    line_from_json,
+    partial_to_json,
     record_from_json,
     record_to_json,
     scan,
@@ -115,7 +117,7 @@ def test_verify_symbol_identities_micro():
         rec = scan(CTX5, 2, 1, sign, 10**6)[0]
         rep = verify_symbol_identities(rec)
         assert rep.ok
-        assert all(v == "ok" for v in rep.per_k.values())
+        assert rep.per_k == {1: True, 2: True, 3: True}
         assert not rep.specialization_triggered  # guards don't hold here
 
 
@@ -127,44 +129,38 @@ def test_specialization_triggers_and_holds():
     assert recs[0].symbols["x+y"] == 0 and recs[0].symbols["zeta"] == 0
     # under the guards the full identity is the dropped-terms form
     assert rep.specialization_triggered
-    assert all(v == "ok" for v in rep.per_k.values())
+    assert rep.per_k == {1: True, 2: True, 3: True}
     assert rep.ok
 
 
-def test_skipped_not_coprime_reported():
+def test_null_symbol_refused_and_off_ideal_record_fails():
     # At the distinguished ideal x + zeta^k y = x (1 - zeta^(k+1)) and
-    # neither factor lies in the ideal, so a skip only arises from a null
-    # entry in a JSON record.
+    # neither factor lies in the ideal, so every entry is an integer and
+    # a null one is refused.
     rec = scan(CTX5, 2, 1, PLUS, 10**6)[0]
     assert rec.ideal.w == 5
-    data = record_to_json(rec)
-    data["symbols"]["x+zeta^2*y"] = None
-    edited = record_from_json(data)
-    rep = verify_symbol_identities(edited)
-    assert rep.per_k == {1: "ok", 2: "skipped", 3: "ok"}
-    assert rep.ok  # skips are not failures
-    conj = conjugate_symmetry_report(edited)
-    assert conj[2] is None and conj[3] is None
+    for key in ("x+zeta^2*y", "unit_minus[3]"):
+        data = record_to_json(rec)
+        data["symbols"][key] = None
+        with pytest.raises(ValueError, match="not an integer"):
+            record_from_json(data)
 
     # Off the distinguished ideal the identity is not promised: w = 3
-    # makes x + zeta^2 y = 2 + 9 = 0 mod 11, so k = 2 is skipped, and
-    # k = 1, 3 genuinely fail; the skip must not hide those failures.
+    # makes x + zeta^2 y = 2 + 9 = 0 mod 11, so k = 2 has no symbol (the
+    # table gets a 0 there), and k = 1, 3 genuinely fail.
     ideal = ideal_from_root(CTX5, 11, 3)
     with pytest.raises(NotCoprimeError):
         symbol(cyc_new(CTX5, [(0, 2), (2, 1)]), ideal)
     symbols = {"zeta": zeta_symbol(ideal), "x+y": symbol(cyc_new(CTX5, [(0, 3)]), ideal)}
     for k in range(1, 4):
-        try:
-            e = symbol(cyc_new(CTX5, [(0, 2), (k, 1)]), ideal)
-        except NotCoprimeError:
-            e = None
+        e = 0 if k == 2 else symbol(cyc_new(CTX5, [(0, 2), (k, 1)]), ideal)
         symbols[f"x+zeta^{k}*y"] = e
         symbols[f"unit_minus[{k + 1}]"] = symbol(unit_minus(CTX5, k + 1), ideal)
     off = ScanRecord(
         p=5, x=2, y=1, sign=PLUS, n=11, q=11, ideal=ideal, q_mod_p2=11, symbols=symbols
     )
     rep = verify_symbol_identities(off)
-    assert rep.per_k == {1: "fail", 2: "skipped", 3: "fail"}
+    assert rep.per_k[1] is False and rep.per_k[3] is False
     assert rep.ok is False
     with pytest.raises(ValueError, match="does not divide"):
         record_from_json(record_to_json(off))
@@ -283,6 +279,16 @@ def test_record_json_round_trip_past_4300_digits():
     blob = json.loads(json.dumps(record_to_json(rec)))
     assert rec.q == 11 and len(blob["N"]) == 4405
     assert record_from_json(blob) == rec
+
+
+def test_scan_lines_round_trip():
+    result = scan(CTX5, 2 + 11 * 10**4400, 1, PLUS, 20)  # x past 4300 digits
+    assert [rec.q for rec in result] == [11] and result.unfactored_cofactor is not None
+    lines = [record_to_json(rec) for rec in result]
+    lines.append(partial_to_json(5, result[0].x, 1, PLUS, result.unfactored_cofactor))
+    back = [line_from_json(json.loads(json.dumps(line))) for line in lines]
+    assert back == [result[0], result.unfactored_cofactor]
+    assert lines[1]["x"] == lines[0]["x"] == int_to_decimal(result[0].x)
 
 
 def test_record_json_rejects_tampering():
