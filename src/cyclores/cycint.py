@@ -15,8 +15,8 @@ substitution: each vector is packed into one big integer, one digit of a
 whole number of bytes per coefficient, the two integers are multiplied,
 and the product is read back digit by digit.  Packing and unpacking are
 linear in the length, so the big-integer multiply dominates.
-``kronecker_mul`` is the one packed product of the package; ``regulab``
-uses it over F_p as well.  All values are immutable.
+``kronecker_mul`` is the one packed product of the package, over F_p in
+``regulab`` and F_q in ``resfield`` too.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -434,7 +434,8 @@ def int_from_json(value: object) -> int:
     of any length (see ``int_to_decimal``).
 
     Anything else (null, a bool, a float, another string, a list or an
-    object) raises ValueError instead of being truncated or coerced.
+    object) raises ValueError instead of being truncated or coerced; its
+    message gives the value's type and length, never the value.
     """
     if type(value) is int:
         return value
@@ -442,7 +443,8 @@ def int_from_json(value: object) -> int:
         if value[0] == "-":
             return -_int_from_decimal(value[1:])
         return _int_from_decimal(value)
-    raise ValueError(f"not an integer: {value!r}")
+    size = f" of length {len(value)}" if isinstance(value, (str, list, dict)) else ""
+    raise ValueError(f"not an integer: a {type(value).__name__}{size}")
 
 
 def cyc_from_json(ctx: FieldCtx, items: list[str | int]) -> CycInt:

@@ -19,14 +19,13 @@ failure of Vandiver's conjecture.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice, repeat
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cycint import FieldCtx, InternalError, check_p, field_ctx, kronecker_mul
 from .ntheory import is_prime, primitive_root, root_of_unity
 from .powsym import residue_symbol
-from .resfield import PrimeIdealRep, split_prime
+from .resfield import PrimeIdealRep, _powers, split_prime
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -98,14 +97,9 @@ def irregular_pairs(p: int) -> list[IrregularPair]:
     """
     check_p(p)
     g = primitive_root(p)
-    coeffs = [2 * (g * a // p) - g + 1 for a in _powers(g, (p - 1) // 2, p)]
+    coeffs = [2 * (g * a // p) - g + 1 for a in _powers(g, (p - 1) // 2, lambda a, b: a * b % p)]
     values = _odd_transform(coeffs, (p - 3) // 2, g, p)
     return [IrregularPair(p, 2 * k + 2) for k, v in enumerate(values) if v == 0]
-
-
-def _powers(g: int, count: int, p: int) -> list[int]:
-    """g^i mod p for i < count."""
-    return list(islice(accumulate(repeat(g), lambda a, b: a * b % p, initial=1), count))
 
 
 def h_minus(p: int) -> int:
@@ -131,7 +125,7 @@ def h_minus(p: int) -> int:
     check_p(p)
     n = p - 1
     m = n // 2
-    coeffs = [2 * a - p for a in _powers(primitive_root(p), m, p)]
+    coeffs = [2 * a - p for a in _powers(primitive_root(p), m, lambda a, b: a * b % p)]
     bound = sum(c * c for c in coeffs) ** m // (2 * p) ** (2 * m - 2)
     scale = (-1) ** m * (2 * p) ** (m - 1)
     value, modulus = 0, 1

@@ -25,20 +25,26 @@ residue-field values.  Reduction is a dot product with it: the image of
 sum a_i zeta^i is sum a_i w^i, taken per coordinate at f > 1.  The
 Frobenius conjugates of w^j are w^(j q^i), i < f, read off it by index;
 so is the orbit of the root w^(1/k) of a Galois image.
+
+F_q[t] has one product (``cycint.kronecker_mul`` reduced mod q), one
+division (by a monic divisor) and one power table (``_powers``, which
+``regulab`` shares); ``SPLIT_WORK_MAX`` caps the work of a split at f > 1.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property, lru_cache
+from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import Sequence
 
-from .cycint import ContextMismatchError, CycInt, FieldCtx, Frozen, InternalError
+from .cycint import ContextMismatchError, CycInt, FieldCtx, Frozen, InternalError, kronecker_mul
 from .ntheory import is_prime, multiplicative_order, root_of_unity
 
 __all__ = [
     "Q_MAX",
+    "SPLIT_WORK_MAX",
     "ResidueDegreeError",
     "PrimeIdealRep",
     "split_prime",
@@ -56,11 +62,24 @@ __all__ = [
 #: primality test, whose cost grows with q.
 Q_MAX = 1 << 128
 
+#: Exclusive ceiling on (p-1)^2 f bits(q), the work of a split at f > 1
+#: (Cantor-Zassenhaus powers mod degree p - 1 have about f bits(q) bits),
+#: set by running time.  On a 2-core x86-64 machine (CPython 3.11), near
+#: it: p = 349, q = 62819 (f = 2) 1.9 s; p = 181, a 62-bit q (f = 2)
+#: 4.2 s; p = 127, q = 3 (f = 126) 5.8 s.  Past it: p = 157, q = 50893
+#: (f = 78) 9.2 s; p = 181, q = 2 (f = 180) 16 s.
+SPLIT_WORK_MAX = 1 << 22
+
 
 def _check_q_size(q: int, limit: int) -> None:
     # the message names q's size, not q, which may have any length
     if not -limit < q < limit:
         raise ValueError(f"q has {q.bit_length()} bits; it must be below 2^{limit.bit_length() - 1}")
+
+
+def _check_split_work(p: int, q: int, f: int) -> None:
+    if f > 1 and (p - 1) ** 2 * f * q.bit_length() >= SPLIT_WORK_MAX:
+        raise ValueError(f"p={p}, f={f}: the split work (p-1)^2 f bits(q) is past SPLIT_WORK_MAX")
 
 
 class ResidueDegreeError(ValueError):
@@ -99,16 +118,10 @@ class PrimeIdealRep(Frozen):
     @cached_property
     def w_powers(self) -> tuple:
         """w^e for e = 0..p-1; the p-th roots of unity seen by this ideal."""
-        p = self.ctx.p
-        if self.f == 1:
-            out = [1]
-            for _ in range(p - 1):
-                out.append(out[-1] * self.w % self.q)
-            return tuple(out)
-        out = [_fone(self.f)]
-        for _ in range(p - 1):
-            out.append(_fmul(out[-1], self.w, self.field_modulus, self.q, self.f))
-        return tuple(out)
+        p, q, f, m0 = self.ctx.p, self.q, self.f, self.field_modulus
+        if f == 1:
+            return tuple(_powers(self.w, p, lambda a, b: a * b % q))
+        return tuple(_powers(self.w, p, lambda u, v: _fmul(u, v, m0, q, f), _ftup((1,), f)))
 
     @cached_property
     def _dlog(self) -> dict:
@@ -125,69 +138,58 @@ def _ptrim(cs: list[int]) -> list[int]:
 
 
 def _pmul(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """The product over F_q, trimmed, of two integer coefficient lists."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = (out[i + j] + ca * cb) % q
-    return _ptrim(out)
+    # a product coefficient sums at most min(len(a), len(b)) terms; the
+    # inputs must fit too, which the product bound does not ensure at 0
+    amax, bmax = max(map(abs, a)), max(map(abs, b))
+    bound = max(amax * bmax * min(len(a), len(b)), amax, bmax)
+    return _ptrim([c % q for c in kronecker_mul(a, b, bound, 0, len(a) + len(b) - 1)])
 
 
-def _pmod(a: Sequence[int], m: Sequence[int], q: int) -> list[int]:
-    # m monic
-    a = [c % q for c in a]
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % q
-    del a[dm:]
-    return a
-
-
-def _pdivmod(a: Sequence[int], b: Sequence[int], q: int) -> tuple[list[int], list[int]]:
-    b = _ptrim([c % q for c in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], -1, q)
+def _pdivmod(a: Sequence[int], m: Sequence[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder, trimmed, of a by the monic m over F_q."""
     rem = [c % q for c in a]
-    db = len(b) - 1
-    quot = [0] * max(0, len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv % q
+    dm = len(m) - 1
+    quot = [0] * max(0, len(rem) - dm)
+    for i in range(len(rem) - 1, dm - 1, -1):
+        c = rem[i]
         if c:
-            quot[i - db] = c
-            for j, cb in enumerate(b):
-                rem[i - db + j] = (rem[i - db + j] - c * cb) % q
+            quot[i - dm] = c
+            # zip stops before m's leading 1, whose term rem[i] is dropped below
+            rem[i - dm : i] = [(r - c * mj) % q for r, mj in zip(rem[i - dm : i], m)]
+    del rem[dm:]
     return _ptrim(quot), _ptrim(rem)
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """The monic gcd over F_q; each divisor is made monic first, which
+    leaves the gcd as it is."""
     a = _ptrim([c % q for c in a])
-    b = _ptrim([c % q for c in b])
+    b = _ptrim([c % q for c in b]) or a
     while b:
-        a, b = b, _pdivmod(a, b, q)[1]
-    if a:
-        inv = pow(a[-1], -1, q)
-        a = [c * inv % q for c in a]
+        inv = pow(b[-1], -1, q)
+        monic = [c * inv % q for c in b]
+        a, b = monic, _pdivmod(a, monic, q)[1]
     return a
 
 
 def _ppowmod(base: Sequence[int], e: int, m: Sequence[int], q: int) -> list[int]:
     out = [1]
-    base = _pmod(base, m, q)
+    base = _pdivmod(base, m, q)[1]
     while e:
         if e & 1:
-            out = _pmod(_pmul(out, base, q), m, q)
+            out = _pdivmod(_pmul(out, base, q), m, q)[1]
         e >>= 1
         if e:
-            base = _pmod(_pmul(base, base, q), m, q)
-    return _ptrim(out)
+            base = _pdivmod(_pmul(base, base, q), m, q)[1]
+    return out
+
+
+def _powers(w, n: int, mul, one=1) -> list:
+    """w^0..w^(n-1) under the product mul, whose unit is one."""
+    return list(islice(accumulate(repeat(w), mul, initial=one), n))
 
 
 # fixed-length residue-field helpers (length f, zero padded)
@@ -196,16 +198,12 @@ def _ftup(cs: Sequence[int], f: int) -> tuple[int, ...]:
     return tuple(cs) + (0,) * (f - len(cs))
 
 
-def _fone(f: int) -> tuple[int, ...]:
-    return _ftup((1,), f)
-
-
 def _fmul(u, v, m0, q, f) -> tuple[int, ...]:
-    return _ftup(_pmod(_pmul(list(u), list(v), q), m0, q), f)
+    return _ftup(_pdivmod(_pmul(u, v, q), m0, q)[1], f)
 
 
 def _fpow(u, e, m0, q, f) -> tuple[int, ...]:
-    return _ftup(_ppowmod(list(u), e, m0, q), f)
+    return _ftup(_ppowmod(u, e, m0, q), f)
 
 
 # ----------------------------------------------------------------------
@@ -235,19 +233,17 @@ def _equal_degree_factor(fpoly: list[int], f: int, q: int) -> list[tuple[int, ..
                 continue
             if q == 2:
                 # additive splitting by the trace map over F_2
-                acc = _ftup(r, len(cur) - 1)
-                sq = list(r)
+                acc = sq = _ftup(r, len(cur) - 1)
                 for _ in range(f - 1):
-                    sq = _pmod(_pmul(sq, sq, 2), cur, 2)
-                    acc = tuple((x + y) % 2 for x, y in zip(acc, _ftup(sq, len(cur) - 1)))
-                g = _pgcd(cur, _ptrim(list(acc)), 2)
+                    sq = _fmul(sq, sq, cur, 2, len(cur) - 1)
+                    acc = tuple((x + y) % 2 for x, y in zip(acc, sq))
+                g = _pgcd(cur, acc, 2)
             else:
-                h = _ppowmod(r, (q**f - 1) // 2, cur, q)
-                h = list(h) if h else [0]
-                h[0] = (h[0] - 1) % q
-                g = _pgcd(cur, _ptrim(h), q)
+                h = _ppowmod(r, (q**f - 1) // 2, cur, q) or [0]
+                h[0] -= 1
+                g = _pgcd(cur, h, q)
             if 0 < len(g) - 1 < len(cur) - 1:
-                quot, rem = _pdivmod(cur, g, q)
+                quot, rem = _pdivmod(cur, g, q)  # g is monic
                 if rem:
                     raise InternalError("factor does not divide its parent")
                 stack.append(g)
@@ -259,7 +255,7 @@ def _equal_degree_factor(fpoly: list[int], f: int, q: int) -> list[tuple[int, ..
 def _minpoly(orbit: list[tuple[int, ...]], m0, q: int) -> tuple[int, ...]:
     # product of (X - r) over a Frobenius orbit; lands in F_q[X]
     f = len(orbit)
-    poly = [_fone(f)]
+    poly = [_ftup((1,), f)]
     for r in orbit:
         neg = tuple(-c % q for c in r)
         nxt = [_ftup((), f) for _ in range(len(poly) + 1)]
@@ -295,18 +291,13 @@ def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
     if q == p:
         raise ValueError("q = p is ramified and not handled here")
     f = multiplicative_order(q, p)
+    _check_split_work(p, q, f)
     if f == 1:
-        z = root_of_unity(p, q)
-        roots = sorted(pow(z, i, q) for i in range(1, p))
-        return tuple(_degree_one(ctx, q, w) for w in roots)
+        roots = _powers(root_of_unity(p, q), p, lambda a, b: a * b % q)[1:]
+        return tuple(_degree_one(ctx, q, w) for w in sorted(roots))
     m0 = min(_equal_degree_factor([1] * p, f, q))
     # every p-th root of unity is a power of t; orbits are cosets of <q>
-    tpows: dict[int, tuple[int, ...]] = {}
-    cur = _ftup((0, 1), f)
-    tpows[1] = cur
-    for j in range(2, p):
-        cur = _fmul(cur, tpows[1], m0, q, f)
-        tpows[j] = cur
+    tpows = _powers(_ftup((0, 1), f), p, lambda u, v: _fmul(u, v, m0, q, f), _ftup((1,), f))
     subgroup = sorted(pow(q, i, p) for i in range(f))
     seen: set[int] = set()
     ideals = []
@@ -371,17 +362,25 @@ def ideal_from_root(ctx: FieldCtx, q: int, w: int) -> PrimeIdealRep:
 
 
 def ideal_from_modulus(ctx: FieldCtx, q: int, coeffs: Sequence[int]) -> PrimeIdealRep:
-    """Ideal above q addressed by its modulus polynomial (any degree)."""
+    """Ideal above q addressed by its modulus: a monic degree-f divisor of
+    the p-th cyclotomic polynomial mod q, which is checked before any split."""
+    p = ctx.p
     _check_q_size(q, Q_MAX)
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
+    if q == p:
+        raise ValueError("q = p is ramified")
     wanted = tuple(c % q for c in coeffs)
-    if len(wanted) == 2 and wanted[1] == 1:
-        return ideal_from_root(ctx, q, (q - wanted[0]) % q)
-    for ideal in split_prime(ctx, q):
-        if ideal.modulus == wanted:
-            return ideal
-    raise ValueError("modulus does not label a prime ideal above q")
+    f = multiplicative_order(q, p)
+    if len(wanted) - 1 != f or wanted[-1] != 1:
+        raise ValueError(f"the modulus must be monic of degree f={f}")
+    _check_split_work(p, q, f)
+    if _pdivmod([1] * p, wanted, q)[1]:
+        raise ValueError("the modulus does not divide the cyclotomic polynomial mod q")
+    if f == 1:
+        return _degree_one(ctx, q, -wanted[0] % q)
+    # a monic degree-f divisor is one of the irreducible factors
+    return {ideal.modulus: ideal for ideal in split_prime(ctx, q)}[wanted]
 
 
 def galois_image(ideal: PrimeIdealRep, k: int) -> PrimeIdealRep:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -172,17 +173,20 @@ def test_verify_edited_q(capsys, tmp_path, q):
     {**PARTIAL, "partial": 1},
     {**PARTIAL, "unfactored_cofactor": {"evil": [1, 2]}},
     {**PARTIAL, "unfactored_cofactor": "1"},
+    {**PARTIAL, "unfactored_cofactor": "1" * 3000 + "x"},
 ], ids=["not-an-object", "truncated", "partial-without-cofactor", "no-sign", "list-sign",
         "null-zeta", "null-x+y", "float-symbol", "float-q", "bool-y",
         "element-exponent-plus-p", "zeta-exponent-plus-p", "negative-unit-exponent",
         "q-mod-p2", "ideal-q", "ideal-modulus", "ideal-modulus-string", "nested-too-deep",
         "null-element", "null-unit", "all-null-table", "partial-1", "partial-cofactor-object",
-        "partial-cofactor-1"])
+        "partial-cofactor-1", "partial-cofactor-3001-characters"])
 def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     infile = write_lines(tmp_path / "bad.jsonl", [genuine_record(), bad])
-    code, out, _ = run_cli(capsys, "verify", "--in", infile)
+    code, out, err = run_cli(capsys, "verify", "--in", infile)
     assert code == 1
     assert out == ""
+    # short but for the file's name: no value of the line is echoed
+    assert err.startswith("error:") and len(err.replace(str(infile), "")) < 200
 
 
 SCAN5 = ["scan", "--p", "5", "--x", "2", "--y", "1", "--sign", "plus"]
@@ -238,6 +242,13 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
     ["irregular", "--p", " 11"],
     SYMBOL5[:-2] + ["--modulus", "8,+1", "--alpha", "[1,0,0,0]"],
     SYMBOL5[:-2] + ["--modulus", "1," + "0" * 4400 + "_", "--alpha", "[1,0,0,0]"],
+    SYMBOL5 + ["--alpha", '["' + "1" * 5000 + 'x",1,0,0]'],
+    ["split", "--p", 1009, "--q", 2],
+    ["split", "--p", 1048573, "--q", 3],
+    ["split", "--p", 181, "--q", 2],
+    ["split", "--p", 157, "--q", 50893],
+    ["symbol", "--p", 1009, "--q", 2, "--modulus", ",".join(["0"] * 504 + ["1"]),
+     "--alpha", json.dumps([1] + [0] * 1007)],
 ], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
         "vandiver-p-over-ceiling", "hminus-p-over-ceiling", "split-p3", "split-q-over-64-bits",
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
@@ -249,11 +260,17 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
         "alpha-float", "alpha-bool", "alpha-string", "alpha-nested-too-deep",
         "symbol-q-psi12", "symbol-q-psi13", "split-q-4401-digits", "split-q-not-a-number",
         "irregular-p-1001-digits", "vandiver-k-1001-digits", "p-plus-sign", "p-underscore",
-        "p-arabic-indic-digits", "p-space", "modulus-plus-sign", "modulus-4402-characters"])
+        "p-arabic-indic-digits", "p-space", "modulus-plus-sign", "modulus-4402-characters",
+        "alpha-5001-character-coefficient", "split-p1009-q2-over-work-ceiling",
+        "split-p1048573-q3-over-work-ceiling", "split-p181-q2-over-work-ceiling",
+        "split-p157-q50893-over-work-ceiling", "symbol-modulus-over-work-ceiling"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
-    # the message stays short however long the input: it never echoes a value
+    # the message stays short however long the input: it never echoes a
+    # value; and a request past a ceiling is refused before the work
     argv = [str(a).replace("{missing}", str(tmp_path / "absent")) for a in argv]
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err) < 200

@@ -3,7 +3,8 @@ import pickle
 import random
 
 import pytest
-from sympy import GF, Poly, symbols
+from sympy import GF, ZZ, Poly, symbols
+from sympy.polys.galoistools import gf_pow_mod
 
 from cyclores import resfield
 from cyclores.cycint import CycInt, cyc_new, cyc_zero, field_ctx
@@ -13,6 +14,12 @@ from cyclores.resfield import (
     ResidueDegreeError,
     _fmul,
     _fpow,
+    _ftup,
+    _pdivmod,
+    _pgcd,
+    _pmul,
+    _powers,
+    _ppowmod,
     galois_image,
     ideal_dividing,
     ideal_from_modulus,
@@ -24,6 +31,61 @@ from cyclores.resfield import (
 
 CTX5 = field_ctx(5)
 CTX7 = field_ctx(7)
+T = symbols("t")
+# q = 2^61 - 1 makes product digits wider than 8 bytes
+FIELD_QS = [2, 3, 56809, (1 << 61) - 1]
+
+
+def trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def school_mul(a, b, q):
+    """Oracle: the schoolbook product over F_q, trimmed."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % q
+    return trim(out)
+
+
+def long_divmod(a, b, q):
+    """Oracle: quotient and remainder over F_q by any nonzero b, monic
+    or not."""
+    b = trim([c % q for c in b])
+    inv = pow(b[-1], -1, q)
+    rem = [c % q for c in a]
+    db = len(b) - 1
+    quot = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv % q
+        quot[i - db] = c
+        for j, cb in enumerate(b):
+            rem[i - db + j] = (rem[i - db + j] - c * cb) % q
+    return trim(quot), trim(rem)
+
+
+def euclid_gcd(a, b, q):
+    """Oracle: the monic gcd by Euclid's algorithm over long_divmod."""
+    a, b = trim([c % q for c in a]), trim([c % q for c in b])
+    while b:
+        a, b = b, long_divmod(a, b, q)[1]
+    return [c * pow(a[-1], -1, q) % q for c in a] if a else a
+
+
+def to_sympy(cs, q):
+    return Poly(list(reversed(cs)) or [0], T, domain=GF(q))
+
+
+def from_sympy(poly, q):
+    return trim([int(c) % q for c in reversed(poly.all_coeffs())])
+
+
+def random_poly(rng, q, degree, monic=False):
+    cs = [rng.randrange(q) for _ in range(degree)]
+    return cs + [1 if monic else rng.randrange(1, q)]
 
 
 def fone(ideal):
@@ -381,3 +443,133 @@ def test_big_q_split():
     assert is_prime(q)
     ideals = split_prime(CTX5, q)
     assert len(ideals) * ideals[0].f == 4
+
+
+@pytest.mark.parametrize("q", FIELD_QS)
+def test_product_matches_schoolbook_and_sympy(q):
+    rng = random.Random(q)
+    for da, db in ((0, 0), (0, 5), (1, 1), (3, 7), (12, 12), (30, 4)):
+        a, b = random_poly(rng, q, da), random_poly(rng, q, db)
+        got = _pmul(a, b, q)
+        assert got == school_mul(a, b, q)
+        assert got == from_sympy(to_sympy(a, q) * to_sympy(b, q), q)
+    assert _pmul([], [1, 2], q) == _pmul([0, 0], [1], q) == []
+    # unreduced and negative coefficients come out reduced
+    a, b = [-5, 3 * q + 1, q], [q - 1, -(q * q), 7]
+    assert _pmul(a, b, q) == school_mul([c % q for c in a], [c % q for c in b], q)
+
+
+@pytest.mark.parametrize("q", FIELD_QS)
+def test_product_at_its_bound(q):
+    # every coefficient q - 1: the middle one of the product is
+    # n (q-1)^2, the bound itself; n = 2^k covers eight consecutive
+    # bound lengths, so one of them fills its digits to the last bit
+    for n in (1 << k for k in range(9)):
+        a = [q - 1] * n
+        assert _pmul(a, a, q) == school_mul(a, a, q)
+        assert _pmul(a, a[: n // 2 + 1], q) == school_mul(a, a[: n // 2 + 1], q)
+
+
+@pytest.mark.parametrize("q", FIELD_QS)
+def test_division_matches_long_division_and_sympy(q):
+    rng = random.Random(q + 1)
+    for da, dm in ((0, 0), (0, 3), (3, 3), (9, 1), (20, 6), (40, 17)):
+        a, m = random_poly(rng, q, da), random_poly(rng, q, dm, monic=True)
+        quot, rem = _pdivmod(a, m, q)
+        assert (quot, rem) == long_divmod(a, m, q)
+        squot, srem = to_sympy(a, q).div(to_sympy(m, q))
+        assert (quot, rem) == (from_sympy(squot, q), from_sympy(srem, q))
+        assert len(rem) < len(m)
+    assert _pdivmod([q + 2, -1, q], [3, 1], q) == long_divmod([q + 2, -1, q], [3, 1], q)
+
+
+@pytest.mark.parametrize("q", FIELD_QS)
+def test_gcd_matches_euclid_and_sympy(q):
+    rng = random.Random(q + 2)
+    for dg, da, db in ((0, 0, 0), (1, 2, 3), (3, 4, 0), (5, 6, 7), (2, 15, 9), (0, 9, 9)):
+        # a common factor g, every factor non-monic, and b sometimes a
+        # scalar multiple of the gcd
+        g = random_poly(rng, q, dg)
+        a = school_mul(g, random_poly(rng, q, da), q)
+        b = school_mul(g, random_poly(rng, q, db), q)
+        got = _pgcd(a, b, q)
+        assert got == euclid_gcd(a, b, q)
+        assert got == from_sympy(to_sympy(a, q).gcd(to_sympy(b, q)), q)
+        assert got[-1] == 1 and not long_divmod(a, got, q)[1]
+        assert _pgcd(b, a, q) == got
+    lone = random_poly(rng, q, 4)  # gcd(a, 0) is a made monic
+    assert _pgcd(lone, [], q) == _pgcd([], lone, q) == euclid_gcd(lone, [], q)
+    assert _pgcd([], [], q) == []
+
+
+@pytest.mark.parametrize("q", FIELD_QS)
+def test_powmod_matches_sympy(q):
+    rng = random.Random(q + 3)
+    for db, dm, e in ((3, 4, 0), (3, 4, 1), (7, 5, 2), (10, 6, 1000), (2, 9, q**3 + 5)):
+        base, m = random_poly(rng, q, db), random_poly(rng, q, dm, monic=True)
+        got = _ppowmod(base, e, m, q)
+        want = gf_pow_mod(base[::-1], e, m[::-1], q, ZZ)
+        assert got == trim([int(c) for c in reversed(want)])
+        if e <= 2:
+            slow = [1]
+            for _ in range(e):
+                slow = long_divmod(school_mul(slow, base, q), m, q)[1]
+            assert got == long_divmod(slow, m, q)[1]
+
+
+@pytest.mark.parametrize("p, q", [(5, 19), (7, 2), (11, 3), (13, 5), (31, 2), (41, 56809)])
+def test_equal_degree_factor_finds_every_factor(p, q):
+    # split_prime keeps only the least factor; the splitting must still
+    # return every one, the quotient by each gcd included
+    f = multiplicative_order(q, p)
+    want = sorted(tuple(int(c) % q for c in reversed(g.all_coeffs()))
+                  for g, _ in Poly([1] * p, T, domain=GF(q)).factor_list()[1])
+    assert sorted(resfield._equal_degree_factor([1] * p, f, q)) == want
+    assert len(want) == (p - 1) // f
+
+
+def test_powers_table():
+    for q in FIELD_QS:
+        def mul(a, b):
+            return a * b % q
+
+        for w in (0, 1, 2, q - 1, 12345 % q):
+            assert _powers(w, 20, mul) == [pow(w, i, q) for i in range(20)]
+        assert _powers(5, 0, mul) == [] and _powers(5, 1, mul) == [1]
+    for p, q in ((5, 19), (13, 5), (7, 2), (31, 2), (11, 3)):
+        ideal = split_prime(field_ctx(p), q)[-1]
+        m0, f = ideal.field_modulus, ideal.f
+        table = _powers(ideal.w, 2 * p, lambda u, v: _fmul(u, v, m0, q, f), _ftup((1,), f))
+        assert table == [_fpow(ideal.w, i, m0, q, f) for i in range(2 * p)]
+        assert tuple(table[:p]) == ideal.w_powers and table[p:] == table[:p]
+
+
+def test_ideal_from_modulus_checks_before_splitting(monkeypatch):
+    calls = []
+    real = resfield.split_prime
+    monkeypatch.setattr(resfield, "split_prime", lambda *args: calls.append(args) or real(*args))
+    # over F_19, Phi_5 = (t^2 + 5t + 1)(t^2 + 15t + 1) and f = 2
+    for bad in [(), (1,), (4, 1), (1, 5, 1, 1), (1, 5, 1, 0), (2, 10, 2), (1, 5, 2), (1, 0, 1)]:
+        with pytest.raises(ValueError):
+            ideal_from_modulus(CTX5, 19, bad)
+    with pytest.raises(ValueError):
+        ideal_from_modulus(CTX5, 5, (1, 1, 1, 1, 1))  # q = p: ramified
+    with pytest.raises(ValueError):  # past the split ceiling
+        ideal_from_modulus(field_ctx(1009), 2, [0] * 504 + [1])
+    # at f = 1 a dividing t - w names its ideal without a split
+    with pytest.raises(ValueError):
+        ideal_from_modulus(CTX5, 11, (9, 1))  # 2 has order 10 mod 11
+    assert ideal_from_modulus(CTX5, 11, (8, 1)) == ideal_from_root(CTX5, 11, 3)
+    assert calls == []
+    assert ideal_from_modulus(CTX5, 19, (-18, 15, 20)).modulus == (1, 15, 1)
+    assert len(calls) == 1
+
+
+def test_split_work_ceiling():
+    # refused at once; factoring Phi_1009 over F_2 (f = 504) takes hours
+    with pytest.raises(ValueError, match="past"):
+        split_prime(field_ctx(1009), 2)
+    work = resfield.SPLIT_WORK_MAX
+    assert 160**2 * 4 * 16 < work  # p < 160, f <= 4, q < 2^16
+    assert 60**2 * 60 * 9 < work  # p < 62, q < 400 at any f
+    assert 156**2 * 78 * 16 >= work  # p = 157, q = 50893: f = 78
