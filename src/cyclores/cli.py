@@ -252,7 +252,7 @@ def _cmd_hminus(args) -> int:
 
 def _cmd_vandiver(args) -> int:
     witness = vandiver_witness(args.p, args.k, args.candidates)
-    out = {"p": args.p, "k": args.k, "candidates": args.candidates}
+    out = {"p": args.p, "k": args.k, "candidates": int_to_json(args.candidates)}
     if witness is None:
         out["witness"] = None
         out["result"] = "inconclusive"

@@ -69,6 +69,7 @@ from .resfield import (
 __all__ = [
     "PLUS",
     "MINUS",
+    "POWER_BITS_MAX",
     "ScanRecord",
     "ScanResult",
     "CongruenceReport",
@@ -95,6 +96,21 @@ MINUS = -1
 
 _SIGN_NAME = {PLUS: "plus", MINUS: "minus"}
 _SIGN_VALUE = {"plus": PLUS, "minus": MINUS}
+
+#: Exclusive ceiling on p times the bases' largest bit length: the size of
+#: the x^p that ``scan`` and ``barlow_abel_check`` take and write in decimal
+#: (quadratic: 1M bits 1.0 s, 4M bits 16 s).  On a 2-core x86-64 machine
+#: (CPython 3.11), near it: barlow at p = 5 0.11 s; scan at p = 5 5.5 s,
+#: mostly trial division to 10^6.  Past it: scan at p = 1009, x = 10^1000
+#: 11 s; barlow at p = 1048573, x = 3 8.4 s, at p = 65537, x = 10^30 28 s.
+POWER_BITS_MAX = 1 << 18
+
+
+def _check_power_size(p: int, *bases: int) -> None:
+    # the message names sizes, not the bases, which may have any length
+    bits = max(b.bit_length() for b in bases)
+    if p * bits >= POWER_BITS_MAX:
+        raise ValueError(f"p={p} with {bits}-bit bases: p * bits is past POWER_BITS_MAX")
 
 
 class ScanRecord(NamedTuple):
@@ -179,6 +195,7 @@ def scan(ctx: FieldCtx, x: int, y: int, sign: int, trial_bound: int) -> ScanResu
         raise ValueError("x + sign*y = 0: quotient undefined")
     if not 2 <= trial_bound <= 1 << 40:
         raise ValueError("trial_bound must be in [2, 2^40]")
+    _check_power_size(p, x, y)
     n_value = (x**p + sign * y**p) // (x + sign * y)
     if n_value == 1:
         raise ValueError("nothing to scan: the quotient is 1")
@@ -389,6 +406,7 @@ def barlow_abel_check(p: int, x: int, y: int, z: int) -> BarlowAbelReport:
     check_p(p)
     if x == 0 or y == 0 or z == 0:
         raise ValueError("x, y, z must be nonzero")
+    _check_power_size(p, x, y, z)
     checks = []
 
     root = kth_root_exact(x + y, p)

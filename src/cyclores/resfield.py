@@ -12,8 +12,8 @@ conventions below make every output reproducible bit for bit:
   p-th roots of unity in that field are the powers of t, and their
   Frobenius orbits correspond to the ideals.  Each ideal's w is the
   smallest element of its orbit (same coefficient order), its modulus is
-  the minimal polynomial of w over F_q, and ideals are listed by
-  increasing w.
+  the Cantor-Zassenhaus factor that vanishes at w, and ideals are listed
+  by increasing w.
 
 A residue-field element is written as the ideal's ``w`` is: an int in
 [0, q) at f = 1, else a little-endian coefficient tuple of fixed length
@@ -64,10 +64,13 @@ Q_MAX = 1 << 128
 
 #: Exclusive ceiling on (p-1)^2 f bits(q), the work of a split at f > 1
 #: (Cantor-Zassenhaus powers mod degree p - 1 have about f bits(q) bits),
-#: set by running time.  On a 2-core x86-64 machine (CPython 3.11), near
-#: it: p = 349, q = 62819 (f = 2) 1.9 s; p = 181, a 62-bit q (f = 2)
-#: 4.2 s; p = 127, q = 3 (f = 126) 5.8 s.  Past it: p = 157, q = 50893
-#: (f = 78) 9.2 s; p = 181, q = 2 (f = 180) 16 s.
+#: set by running time.  That work is real only where Cantor-Zassenhaus
+#: has factors to separate, (p-1)/f >= 2: an inert split returns Phi_p
+#: at once, but is refused past the ceiling too.  On a 2-core x86-64
+#: machine (CPython 3.11), near it: p = 349, q = 62819 (f = 2) 1.8 s;
+#: p = 181, a 62-bit q (f = 2) 2.6-3.1 s; p = 127, q = 3 (f = 126,
+#: inert) 0.01 s.  Past it: p = 157, q = 50893 (f = 78) 4.5-5.4 s;
+#: p = 181, q = 2 (f = 180, inert) 0.01 s.
 SPLIT_WORK_MAX = 1 << 22
 
 
@@ -252,35 +255,6 @@ def _equal_degree_factor(fpoly: list[int], f: int, q: int) -> list[tuple[int, ..
     return out
 
 
-def _minpoly(orbit: list[tuple[int, ...]], m0, q: int) -> tuple[int, ...]:
-    # product of (X - r) over a Frobenius orbit; lands in F_q[X]
-    f = len(orbit)
-    poly = [_ftup((1,), f)]
-    for r in orbit:
-        neg = tuple(-c % q for c in r)
-        nxt = [_ftup((), f) for _ in range(len(poly) + 1)]
-        for i, coef in enumerate(poly):
-            nxt[i + 1] = tuple((a + b) % q for a, b in zip(nxt[i + 1], coef))
-            prod = _fmul(coef, neg, m0, q, f)
-            nxt[i] = tuple((a + b) % q for a, b in zip(nxt[i], prod))
-        poly = nxt
-    out = []
-    for coef in poly:
-        if any(coef[1:]):
-            raise InternalError("minimal polynomial has non-scalar coefficients")
-        out.append(coef[0])
-    return tuple(out)
-
-
-def _orbit_ideal(ctx: FieldCtx, q: int, orbit: list, m0) -> PrimeIdealRep:
-    # the ideal at which zeta maps into the Frobenius orbit; its w is the
-    # orbit's least element, m0 (None at f = 1) the field it lives in
-    w = min(orbit)
-    if m0 is None:
-        return _degree_one(ctx, q, w)
-    return PrimeIdealRep(ctx, q, len(orbit), w, _minpoly(orbit, m0, q), m0)
-
-
 @lru_cache(maxsize=256)
 def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
     """All prime ideals of Z[zeta] above q, in canonical order."""
@@ -295,20 +269,24 @@ def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
     if f == 1:
         roots = _powers(root_of_unity(p, q), p, lambda a, b: a * b % q)[1:]
         return tuple(_degree_one(ctx, q, w) for w in sorted(roots))
-    m0 = min(_equal_degree_factor([1] * p, f, q))
+    factors = sorted(_equal_degree_factor([1] * p, f, q))
+    m0 = factors[0]
     # every p-th root of unity is a power of t; orbits are cosets of <q>
     tpows = _powers(_ftup((0, 1), f), p, lambda u, v: _fmul(u, v, m0, q, f), _ftup((1,), f))
-    subgroup = sorted(pow(q, i, p) for i in range(f))
-    seen: set[int] = set()
+    subgroup = [pow(q, i, p) for i in range(f)]
     ideals = []
-    for j in range(1, p):
-        if j in seen:
-            continue
-        coset = [j * h % p for h in subgroup]
-        seen.update(coset)
-        ideals.append(_orbit_ideal(ctx, q, [tpows[jj] for jj in coset], m0))
-    ideals.sort(key=lambda ideal: ideal.w)
-    return tuple(ideals)
+    for coset in {frozenset(j * h % p for h in subgroup) for j in range(1, p)}:
+        # the orbit's modulus is the factor g with g(t^j) = 0: a dot
+        # product of g's coefficients with t^(ij), i <= f, per coordinate
+        j = min(coset)
+        rows = [tpows[i * j % p] for i in range(f + 1)]
+        modulus = next((g for g in factors
+                        if not any(sum(map(mul, g, column)) % q for column in zip(*rows))), None)
+        if modulus is None:
+            raise InternalError("no factor vanishes on a Frobenius orbit")
+        w = min(tpows[jj] for jj in coset)
+        ideals.append(PrimeIdealRep(ctx, q, f, w, modulus, m0))
+    return tuple(sorted(ideals, key=lambda ideal: ideal.w))
 
 
 def residue(a: CycInt, ideal: PrimeIdealRep) -> int | tuple[int, ...]:
@@ -387,17 +365,20 @@ def galois_image(ideal: PrimeIdealRep, k: int) -> PrimeIdealRep:
     """The image of the ideal under zeta -> zeta^k.
 
     Its root is w^(1/k): reducing zeta^k - w' to zero forces the new
-    image of zeta to be the k-th-inverse power of the old one.  The
-    Frobenius orbit of that root is w^(q^i/k), i < f, read off
-    ``w_powers``.
+    image of zeta to be the k-th-inverse power of the old one.  At f = 1
+    that root names the ideal, with no split.  At f > 1 the image is the
+    ideal of ``split_prime`` whose w is the least of the root's Frobenius
+    orbit w^(q^i/k), i < f, read off ``w_powers``.
     """
     p, q = ideal.ctx.p, ideal.q
     k %= p
     if k == 0:
         raise ValueError("galois index must be nonzero modulo p")
     inv = pow(k, -1, p)
-    orbit = [ideal.w_powers[inv * pow(q, i, p) % p] for i in range(ideal.f)]
-    return _orbit_ideal(ideal.ctx, q, orbit, ideal.field_modulus)
+    if ideal.f == 1:
+        return _degree_one(ideal.ctx, q, ideal.w_powers[inv])
+    w = min(ideal.w_powers[inv * pow(q, i, p) % p] for i in range(ideal.f))
+    return {image.w: image for image in split_prime(ideal.ctx, q)}[w]
 
 
 def ideal_to_json(ideal: PrimeIdealRep) -> dict:

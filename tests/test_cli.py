@@ -87,6 +87,15 @@ def test_vandiver(capsys):
     }
 
 
+def test_vandiver_candidates_past_4300_digits(capsys):
+    # the witness is found among the first candidates; the count is echoed
+    candidates = "1" + "0" * 5000
+    code, out, err = run_cli(capsys, "vandiver", "--p", "37", "--k", "32", "--candidates", candidates)
+    assert (code, err) == (0, "")
+    line = one_json(out)
+    assert line["candidates"] == candidates and line["result"] == "not-a-pth-power"
+
+
 def test_vandiver_regular_pair_is_usage_error(capsys):
     code, out, _ = run_cli(capsys, "vandiver", "--p", "37", "--k", "30")
     assert code == 1
@@ -249,6 +258,10 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
     ["split", "--p", 157, "--q", 50893],
     ["symbol", "--p", 1009, "--q", 2, "--modulus", ",".join(["0"] * 504 + ["1"]),
      "--alpha", json.dumps([1] + [0] * 1007)],
+    ["barlow", "--p", 65537, "--x", 10**30, "--y", 5, "--z", 7],
+    ["barlow", "--p", 65537, "--x", int_to_decimal(10**300), "--y", 5, "--z", 7],
+    ["scan", "--p", 1009, "--x", int_to_decimal(10**1000), "--y", 1, "--sign", "plus"],
+    ["barlow", "--p", 1048573, "--x", 3, "--y", 5, "--z", 7],
 ], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
         "vandiver-p-over-ceiling", "hminus-p-over-ceiling", "split-p3", "split-q-over-64-bits",
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
@@ -263,7 +276,10 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
         "p-arabic-indic-digits", "p-space", "modulus-plus-sign", "modulus-4402-characters",
         "alpha-5001-character-coefficient", "split-p1009-q2-over-work-ceiling",
         "split-p1048573-q3-over-work-ceiling", "split-p181-q2-over-work-ceiling",
-        "split-p157-q50893-over-work-ceiling", "symbol-modulus-over-work-ceiling"])
+        "split-p157-q50893-over-work-ceiling", "symbol-modulus-over-work-ceiling",
+        "barlow-p65537-x-31-digits-over-power-ceiling",
+        "barlow-p65537-x-301-digits-over-power-ceiling",
+        "scan-p1009-x-1001-digits-over-power-ceiling", "barlow-p1048573-over-power-ceiling"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
     # the message stays short however long the input: it never echoes a
     # value; and a request past a ceiling is refused before the work
@@ -490,6 +506,16 @@ def test_verify_fuzzed_records_never_exit_3(capsys, tmp_path):
     assert codes >= {1, 2}
 
 
+def test_inert_split_is_fast(capsys):
+    # q = 3 is inert at p = 127 (f = 126): Cantor-Zassenhaus returns Phi_127
+    # itself, and it is the one ideal's modulus
+    resfield.split_prime.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "split", "--p", 127, "--q", 3)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and one_json(out)["ideals"][0]["modulus"] == ["1"] * 127
+
+
 # (exit code, sha256 of stdout) of runs whose output no refactoring may
 # change; a failure here means a command's output moved, not a bug in
 # the test.  Each scan's stdout is then fed to verify.
@@ -500,6 +526,8 @@ GOLDEN = [
     (["split", "--p", 13, "--q", 5], "75997dd47d5a1c0c96962c1a70f2f6feaa95e74c1ed6689fbab74b0cfc5e70b1"),
     (["split", "--p", 11, "--q", 7], "ebb23f13142ecc4f7fed492c6600e023ea69c3a2c02f6e171896f8d313abbffe"),
     (["split", "--p", 31, "--q", 2], "bd61b7be3dab092bf9347f6c7d7bbd8536c6bf3c57db809e625abc582a7dc155"),
+    (["split", "--p", 127, "--q", 3], "80b1209f6c75938dbe9b923d4404582b4474399b607d79a853c4166a34242340"),
+    (["split", "--p", 61, "--q", 397], "8ff87c4b5dd26ab8e738038c4385df8ea2eb3240013f36ade1385daa774ab467"),
     (["symbol", "--p", 5, "--q", 11, "--w", 3, "--alpha", "[2,1,0,0]"],
      "76a24ce30dd1c3e66f0fa255d6405e26399e62c9ce886ac424b43d24e14d8b9a"),
     (["symbol", "--p", 5, "--q", 19, "--modulus", "1,15,1", "--alpha", "[2,1,0,0]"],

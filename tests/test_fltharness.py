@@ -9,6 +9,7 @@ from cyclores.cycunits import unit_minus
 from cyclores.fltharness import (
     MINUS,
     PLUS,
+    POWER_BITS_MAX,
     ScanRecord,
     barlow_abel_check,
     conjugate_symmetry_report,
@@ -218,6 +219,21 @@ def test_barlow_abel_edge_cases():
         barlow_abel_check(4, 1, 2, 3)
     with pytest.raises(ValueError):
         barlow_abel_check(5, 0, 2, 3)
+
+
+def test_power_size_ceiling():
+    # p * bits just under POWER_BITS_MAX runs; at it, nothing is computed
+    bits = (POWER_BITS_MAX - 1) // 5  # the most at p = 5
+    x = (1 << (bits - 1)) + (2 - (1 << (bits - 1))) % 11  # 2 mod 11 keeps q = 11
+    assert x.bit_length() == bits
+    assert [rec.q for rec in scan(CTX5, x, 1, PLUS, 20)] == [11]
+    assert len(barlow_abel_check(5, -x, 1, x).checks) == 5
+    big = 1 << bits  # one bit more
+    for ctx, x, y in ((CTX5, big, 1), (CTX5, 1, -big), (CTX7, 3, 1 << (POWER_BITS_MAX // 7))):
+        with pytest.raises(ValueError, match="POWER_BITS_MAX"):
+            scan(ctx, x, y, MINUS, 20)
+    with pytest.raises(ValueError, match="POWER_BITS_MAX"):
+        barlow_abel_check(5, 1, 1, -big)
 
 
 def test_furtwangler_report_micro():

@@ -127,6 +127,29 @@ def horner_residue(a, ideal):
     return acc
 
 
+def cyclotomic_factors(p, q):
+    """Oracle: sympy's monic irreducible factors of Phi_p over GF(q), sorted."""
+    return sorted(tuple(int(c) % q for c in reversed(g.all_coeffs()))
+                  for g, _ in Poly([1] * p, T, domain=GF(q)).factor_list()[1])
+
+
+def minpoly(orbit, m0, q):
+    """Oracle: the product of (X - r) over a Frobenius orbit in
+    F_q[t]/(m0); its coefficients land in F_q."""
+    f = len(orbit)
+    poly = [_ftup((1,), f)]
+    for r in orbit:
+        neg = tuple(-c % q for c in r)
+        nxt = [_ftup((), f) for _ in range(len(poly) + 1)]
+        for i, coef in enumerate(poly):
+            nxt[i + 1] = tuple((a + b) % q for a, b in zip(nxt[i + 1], coef))
+            prod = _fmul(coef, neg, m0, q, f)
+            nxt[i] = tuple((a + b) % q for a, b in zip(nxt[i], prod))
+        poly = nxt
+    assert not any(any(coef[1:]) for coef in poly)
+    return tuple(coef[0] for coef in poly)
+
+
 def frobenius_galois_image(ideal, k):
     """Oracle: the image's root w^(1/k) and its conjugates by repeated
     q-th powers, looked up in the canonical split."""
@@ -225,18 +248,36 @@ def test_ideal_count_times_f():
 
 
 def test_moduli_match_sympy_factorization():
-    t = symbols("t")
     for p in (5, 7, 11):
         ctx = field_ctx(p)
         for q in (2, 3, 11, 13, 19, 23, 29):
             if q == p:
                 continue
-            fl = Poly([1] * p, t, domain=GF(q)).factor_list()
-            expected = sorted(
-                tuple(int(c) % q for c in reversed(f.all_coeffs())) for f, _ in fl[1]
-            )
             got = sorted(i.modulus for i in split_prime(ctx, q))
-            assert got == expected, (p, q)
+            assert got == cyclotomic_factors(p, q), (p, q)
+
+
+# inert (11, 7) and (61, 397); q = 2 at f = 3, 5, 7; and f = 2, 3, 4 at
+# the benchmark's split sizes (p in [101, 160], q in [2^15, 2^16))
+@pytest.mark.parametrize("p, q", [(11, 7), (61, 397), (7, 2), (31, 2), (127, 2),
+                                  (103, 33577), (103, 33119), (113, 34141)])
+def test_moduli_are_orbit_products(p, q):
+    ideals = split_prime(field_ctx(p), q)
+    f = multiplicative_order(q, p)
+    factors = cyclotomic_factors(p, q)
+    assert sorted(ideal.modulus for ideal in ideals) == factors
+    for ideal in ideals:
+        assert ideal.f == f and ideal.field_modulus == factors[0]
+        # the orbit by repeated q-th powers, not read off a table
+        orbit = [ideal.w]
+        for _ in range(f - 1):
+            orbit.append(_fpow(orbit[-1], q, factors[0], q, f))
+        assert ideal.w == min(orbit)
+        assert ideal.modulus == minpoly(orbit, factors[0], q)
+        # the split's own ideal object, never a rebuilt copy
+        for k in range(1, p):
+            image = galois_image(ideal, k)
+            assert any(image is other for other in ideals)
 
 
 def test_residue_examples():
@@ -352,7 +393,13 @@ def test_ideal_from_root_validation():
     assert ideal_from_root(CTX5, 11, 9).w == 9
 
 
-def test_galois_image_f1():
+def test_galois_image_f1(monkeypatch):
+    # at f = 1 the image is named by its root, without a split: q may be
+    # past what split_prime accepts
+    monkeypatch.setattr(resfield, "split_prime", None)
+    q = (1 << 64) + 745  # prime, 1 mod 5
+    ideal = ideal_from_root(CTX5, q, pow(2, (q - 1) // 5, q))
+    assert galois_image(ideal, 2).w == pow(ideal.w, 3, q)
     ideal = ideal_from_root(CTX5, 11, 5)
     for k in range(1, 5):
         img = galois_image(ideal, k)
@@ -519,11 +566,10 @@ def test_powmod_matches_sympy(q):
 
 @pytest.mark.parametrize("p, q", [(5, 19), (7, 2), (11, 3), (13, 5), (31, 2), (41, 56809)])
 def test_equal_degree_factor_finds_every_factor(p, q):
-    # split_prime keeps only the least factor; the splitting must still
-    # return every one, the quotient by each gcd included
+    # every factor is some ideal's modulus, the quotient by each gcd
+    # included
     f = multiplicative_order(q, p)
-    want = sorted(tuple(int(c) % q for c in reversed(g.all_coeffs()))
-                  for g, _ in Poly([1] * p, T, domain=GF(q)).factor_list()[1])
+    want = cyclotomic_factors(p, q)
     assert sorted(resfield._equal_degree_factor([1] * p, f, q)) == want
     assert len(want) == (p - 1) // f
 
