@@ -11,10 +11,11 @@ their coefficient tuples are equal.  Coefficients are Python ints, hence
 arbitrary precision throughout.
 
 A product is a convolution of coefficient vectors, evaluated by Kronecker
-substitution: each vector is packed into one big integer, one digit of a
-whole number of bytes per coefficient, the two integers are multiplied,
-and the product is read back digit by digit.  Packing and unpacking are
-linear in the length, so the big-integer multiply dominates.
+substitution: each vector is packed into one big integer, one digit of
+1, 2, 4 or 8 bytes (or more, past 8) per coefficient, the two integers
+are multiplied, and the product is read back digit by digit.  Packing
+and unpacking are linear in the length, so the big-integer multiply
+dominates.
 ``kronecker_mul`` is the one packed product of the package, over F_p in
 ``regulab`` and F_q in ``resfield`` too.  All values are immutable.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import re
 import struct
 from itertools import repeat
-from operator import add, attrgetter, rshift, sub
+from operator import add, attrgetter, sub
 from typing import Iterable, Sequence
 
 from .ntheory import is_prime, primitive_root
@@ -270,12 +271,6 @@ def _pack(digits: Sequence[int], nb: int) -> int:
     code = _STRUCT_CODES.get(nb)
     if code:
         raw = struct.pack(f"<{n}{code}", *digits)
-    elif nb < 8:
-        # the low nb bytes of each 8-byte digit
-        wide = struct.pack(f"<{n}q", *digits)
-        raw = bytearray(n * nb)
-        for i in range(nb):
-            raw[i::nb] = wide[i::8]
     else:
         raw = b"".join(d.to_bytes(nb, "little", signed=True) for d in digits)
     u = int.from_bytes(raw, "little")
@@ -300,39 +295,34 @@ def _unpack(value: int, nb: int, count: int, lo: int, hi: int) -> list[int]:
     code = _STRUCT_CODES.get(nb)
     if code:
         return list(struct.unpack_from(f"<{k}{code}", raw, nb * lo))
-    if nb < 8:
-        # each digit as the high bytes of an 8-byte one; the arithmetic
-        # shift back down extends its sign
-        wide = bytearray(8 * k)
-        for i in range(nb):
-            wide[8 - nb + i :: 8] = raw[nb * lo + i : nb * hi : nb]
-        return list(map(rshift, struct.unpack(f"<{k}q", wide), repeat(64 - 8 * nb)))
     return [
         int.from_bytes(raw[i : i + nb], "little", signed=True)
         for i in range(nb * lo, nb * hi, nb)
     ]
 
 
-def kronecker_mul(a: Sequence[int], b: Sequence[int], bound: int, lo: int, hi: int) -> list[int]:
+def kronecker_mul(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]:
     """Coefficients lo..hi-1 of the product of two integer polynomials.
 
-    a and b are coefficient lists, lowest power first.  bound must be at
-    least the absolute value of every coefficient of a, b and a*b; the
-    digits are bound.bit_length() // 8 + 1 bytes wide, so each holds
-    +-bound in two's complement.
+    a and b are coefficient lists, lowest power first, either may be
+    empty.  With |a| the largest size in a, every coefficient of a, b
+    and a*b is at most bound = max(|a| |b| min(len a, len b), |a|, |b|)
+    in size; a digit holds +-bound in bound.bit_length() // 8 + 1 bytes,
+    rounded up to 1, 2, 4 or 8 bytes where that is at most 8.
     """
+    amax = max(map(abs, a), default=0)
+    bmax = max(map(abs, b), default=0)
+    bound = max(amax * bmax * min(len(a), len(b)), amax, bmax)
     nb = bound.bit_length() // 8 + 1
+    if nb <= 8:
+        nb = 1 << (nb - 1).bit_length()
     return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1, lo, hi)
 
 
 def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
     _same_ctx(a, b)
     p = a.ctx.p
-    # a product coefficient sums at most p-1 terms; the inputs must fit
-    # too, which the product bound does not ensure when it is 0
-    amax = max(map(abs, a.coeffs))
-    bmax = max(map(abs, b.coeffs))
-    conv = kronecker_mul(a.coeffs, b.coeffs, max(amax * bmax * (p - 1), amax, bmax), 0, 2 * p - 3)
+    conv = kronecker_mul(a.coeffs, b.coeffs, 0, 2 * p - 3)
     # fold zeta^m, m >= p, onto zeta^(m-p)
     head, tail = conv[:p], conv[p:]
     return CycInt(a.ctx, _reduce(list(map(add, head, tail)) + head[len(tail) :], p))

@@ -34,7 +34,6 @@ c' being whichever of c and c + p is odd.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import cycle
 from typing import Sequence
 
@@ -90,7 +89,6 @@ def inv_unit_plus(ctx: FieldCtx, a: int) -> CycInt:
     return _geometric(ctx, -_shift(ctx, a), a, _odd(pow(a, -1, ctx.p), ctx.p), -1)
 
 
-@lru_cache(maxsize=None)
 def inv_one_plus_zeta(ctx: FieldCtx) -> CycInt:
     """Exact inverse of the unit 1 + zeta: (1 - zeta) / (1 - zeta^2), that
     is 1 + zeta^2 + zeta^4 + ... + zeta^(p-1), since 2^(-1) = (p+1)/2."""

@@ -70,6 +70,7 @@ __all__ = [
     "PLUS",
     "MINUS",
     "POWER_BITS_MAX",
+    "TRIAL_WORK_MAX",
     "ScanRecord",
     "ScanResult",
     "CongruenceReport",
@@ -100,10 +101,21 @@ _SIGN_VALUE = {"plus": PLUS, "minus": MINUS}
 #: Exclusive ceiling on p times the bases' largest bit length: the size of
 #: the x^p that ``scan`` and ``barlow_abel_check`` take and write in decimal
 #: (quadratic: 1M bits 1.0 s, 4M bits 16 s).  On a 2-core x86-64 machine
-#: (CPython 3.11), near it: barlow at p = 5 0.11 s; scan at p = 5 5.5 s,
-#: mostly trial division to 10^6.  Past it: scan at p = 1009, x = 10^1000
-#: 11 s; barlow at p = 1048573, x = 3 8.4 s, at p = 65537, x = 10^30 28 s.
+#: (CPython 3.11), near it: barlow at p = 5 0.11 s; scan at p = 5 with
+#: trial bound 20 0.02 s.  Past it: scan at p = 1009, x = 10^1000 11 s;
+#: barlow at p = 1048573, x = 3 8.4 s, at p = 65537, x = 10^30 28 s.
 POWER_BITS_MAX = 1 << 18
+
+#: Exclusive ceiling on the work of ``scan``'s trial division: reach/(2p)
+#: steps, reach = min(trial_bound, 2^(p bits/2 + 1)) (the loop stops at
+#: sqrt(N) too), each dividing an N of about p * bits bits, plus 512 for
+#: a step's own overhead; a divisor past 2^30 costs about 3 times more.
+#: Set by running time (2-core x86-64, CPython 3.11); at 0.9 of it, p = 5:
+#: a 30 000-bit x, trial bound 10^6 2.9 s, x = 8388647 (N prime) 3.2 s;
+#: p = 101, a 64-bit x 3.6 s; p = 1009, x = 3 7.3 s.  Past it: p = 5, a
+#: 52 428-bit x, trial bound 10^6 5.6 s; p = 1009, x = 3, trial bound 2^40
+#: about 11 min.  The default bound 10^6 passes it at p >= 11, any x.
+TRIAL_WORK_MAX = 1 << 34
 
 
 def _check_power_size(p: int, *bases: int) -> None:
@@ -111,6 +123,13 @@ def _check_power_size(p: int, *bases: int) -> None:
     bits = max(b.bit_length() for b in bases)
     if p * bits >= POWER_BITS_MAX:
         raise ValueError(f"p={p} with {bits}-bit bases: p * bits is past POWER_BITS_MAX")
+
+
+def _check_trial_work(p: int, trial_bound: int, bits: int) -> None:
+    reach = min(trial_bound, 1 << (p * bits // 2 + 1))
+    if reach // (2 * p) * (p * bits + 512) >= TRIAL_WORK_MAX:
+        raise ValueError(f"p={p} with {bits}-bit bases: the trial division work is past "
+                         "TRIAL_WORK_MAX; take a lower trial bound")
 
 
 class ScanRecord(NamedTuple):
@@ -196,6 +215,7 @@ def scan(ctx: FieldCtx, x: int, y: int, sign: int, trial_bound: int) -> ScanResu
     if not 2 <= trial_bound <= 1 << 40:
         raise ValueError("trial_bound must be in [2, 2^40]")
     _check_power_size(p, x, y)
+    _check_trial_work(p, trial_bound, max(x.bit_length(), y.bit_length()))
     n_value = (x**p + sign * y**p) // (x + sign * y)
     if n_value == 1:
         raise ValueError("nothing to scan: the quotient is 1")

@@ -169,7 +169,7 @@ def _odd_transform(coeffs: list[int], count: int, omega: int, ell: int) -> list[
     chirp_a = [c * z % ell for c, z in zip(coeffs, _chirp(omega, 1, m, ell))]
     chirp_b = _chirp(pow(omega, -1, ell), 0, max(m, count), ell)
     chirp_b = chirp_b[m - 1 : 0 : -1] + chirp_b[:count]
-    conv = kronecker_mul(chirp_a, chirp_b, m * (ell - 1) ** 2, m - 1, m - 1 + count)
+    conv = kronecker_mul(chirp_a, chirp_b, m - 1, m - 1 + count)
     return [c % ell for c in conv]
 
 

@@ -74,10 +74,15 @@ Q_MAX = 1 << 128
 SPLIT_WORK_MAX = 1 << 22
 
 
-def _check_q_size(q: int, limit: int) -> None:
-    # the message names q's size, not q, which may have any length
+def _check_q(p: int, q: int, limit: int) -> None:
+    # q must be a prime below limit other than p.  Its size comes first,
+    # as a primality test's cost grows with q, and names q's length only
     if not -limit < q < limit:
         raise ValueError(f"q has {q.bit_length()} bits; it must be below 2^{limit.bit_length() - 1}")
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
+    if q == p:
+        raise ValueError("q = p is ramified")
 
 
 def _check_split_work(p: int, q: int, f: int) -> None:
@@ -144,11 +149,7 @@ def _pmul(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     """The product over F_q, trimmed, of two integer coefficient lists."""
     if not a or not b:
         return []
-    # a product coefficient sums at most min(len(a), len(b)) terms; the
-    # inputs must fit too, which the product bound does not ensure at 0
-    amax, bmax = max(map(abs, a)), max(map(abs, b))
-    bound = max(amax * bmax * min(len(a), len(b)), amax, bmax)
-    return _ptrim([c % q for c in kronecker_mul(a, b, bound, 0, len(a) + len(b) - 1)])
+    return _ptrim([c % q for c in kronecker_mul(a, b, 0, len(a) + len(b) - 1)])
 
 
 def _pdivmod(a: Sequence[int], m: Sequence[int], q: int) -> tuple[list[int], list[int]]:
@@ -259,11 +260,7 @@ def _equal_degree_factor(fpoly: list[int], f: int, q: int) -> list[tuple[int, ..
 def split_prime(ctx: FieldCtx, q: int) -> tuple[PrimeIdealRep, ...]:
     """All prime ideals of Z[zeta] above q, in canonical order."""
     p = ctx.p
-    _check_q_size(q, 1 << 63)
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
-    if q == p:
-        raise ValueError("q = p is ramified and not handled here")
+    _check_q(p, q, 1 << 63)
     f = multiplicative_order(q, p)
     _check_split_work(p, q, f)
     if f == 1:
@@ -328,11 +325,7 @@ def ideal_dividing(
 def ideal_from_root(ctx: FieldCtx, q: int, w: int) -> PrimeIdealRep:
     """Degree-1 ideal above q with zeta mapping to the given root w."""
     p = ctx.p
-    _check_q_size(q, Q_MAX)
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
-    if q == p:
-        raise ValueError("q = p is ramified")
+    _check_q(p, q, Q_MAX)
     w %= q
     if w in (0, 1) or pow(w, p, q) != 1:
         raise ValueError(f"w={w} does not have multiplicative order {p} mod {q}")
@@ -343,11 +336,7 @@ def ideal_from_modulus(ctx: FieldCtx, q: int, coeffs: Sequence[int]) -> PrimeIde
     """Ideal above q addressed by its modulus: a monic degree-f divisor of
     the p-th cyclotomic polynomial mod q, which is checked before any split."""
     p = ctx.p
-    _check_q_size(q, Q_MAX)
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
-    if q == p:
-        raise ValueError("q = p is ramified")
+    _check_q(p, q, Q_MAX)
     wanted = tuple(c % q for c in coeffs)
     f = multiplicative_order(q, p)
     if len(wanted) - 1 != f or wanted[-1] != 1:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyclores import cycint
 from cyclores.cycint import (
     P_MAX,
     ContextMismatchError,
@@ -26,6 +27,7 @@ from cyclores.cycint import (
     int_from_json,
     int_to_decimal,
     int_to_json,
+    kronecker_mul,
     norm,
     zeta_power,
 )
@@ -144,9 +146,9 @@ def test_ring_laws(p, data):
     assert cyc_mul(a, cyc_add(b, c)) == cyc_add(cyc_mul(a, b), cyc_mul(a, c))
 
 
-# digit widths in bytes: struct's signed formats (1, 2, 4, 8), the
-# widths packed through 8-byte digits (3, 5) and per-digit to_bytes (9)
-DIGIT_WIDTHS = [1, 2, 3, 4, 5, 8, 9]
+# digit widths in bytes that kronecker_mul picks: struct's signed
+# formats (1, 2, 4, 8) and, past 8 bytes, per-digit to_bytes (9, 17)
+DIGIT_WIDTHS = [1, 2, 4, 8, 9, 17]
 
 
 @settings(max_examples=80, deadline=None)
@@ -154,8 +156,8 @@ DIGIT_WIDTHS = [1, 2, 3, 4, 5, 8, 9]
 def test_packed_mul_matches_schoolbook(p, nb, data):
     # the packed product must agree with the literal convolution, with
     # mixed-sign coefficients and with same-sign operands whose product
-    # coefficients reach the largest size the digit width holds (top),
-    # or just pass it (top + 1)
+    # coefficients reach the largest size nb-byte digits hold (top), or
+    # just pass it (top + 1), where kronecker_mul takes the next width
     top = isqrt(((1 << (8 * nb - 1)) - 1) // (p - 1))  # top^2 (p-1) < 2^(8nb-1)
     assume(top > 0)
     ctx = field_ctx(p)
@@ -170,7 +172,30 @@ def test_packed_mul_matches_schoolbook(p, nb, data):
     assert packed == _mul_convolve(a, b, p)
 
 
-@pytest.mark.parametrize("nb", DIGIT_WIDTHS + [6, 7, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_width_crosses_from_8_to_9_bytes(monkeypatch, n):
+    # n equal coefficients t: the middle product coefficient is n t^2,
+    # the bound itself; the largest t with n t^2 < 2^63 fits 8-byte
+    # digits, and t + 1 needs 9
+    widths = []
+
+    def spy(digits, nb):
+        widths.append(nb)
+        return pack(digits, nb)
+
+    pack = cycint._pack
+    monkeypatch.setattr(cycint, "_pack", spy)
+    top = isqrt(((1 << 63) - 1) // n)
+    for t, nb in ((top, 8), (top + 1, 9)):
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a, b = [sa * t] * n, [sb * t] * n
+            widths.clear()
+            want = [sa * sb * t * t * min(k + 1, 2 * n - 1 - k) for k in range(2 * n - 1)]
+            assert kronecker_mul(a, b, 0, 2 * n - 1) == want
+            assert widths == [nb, nb]
+
+
+@pytest.mark.parametrize("nb", list(range(1, 10)) + [17])
 def test_pack_unpack_round_trip(nb):
     top = (1 << (8 * nb - 1)) - 1
     digits = [0, top, -top, -top, 0, top, 1, -1, -top - 1, 0]

@@ -10,7 +10,9 @@ from cyclores.fltharness import (
     MINUS,
     PLUS,
     POWER_BITS_MAX,
+    TRIAL_WORK_MAX,
     ScanRecord,
+    _check_trial_work,
     barlow_abel_check,
     conjugate_symmetry_report,
     furtwangler_report,
@@ -234,6 +236,21 @@ def test_power_size_ceiling():
             scan(ctx, x, y, MINUS, 20)
     with pytest.raises(ValueError, match="POWER_BITS_MAX"):
         barlow_abel_check(5, 1, 1, -big)
+
+
+def test_trial_work_ceiling():
+    # the work is reach/(2p) steps of p * bits + 512, reach the trial
+    # bound or 2^(p bits/2 + 1), past which the loop has stopped anyway;
+    # just under TRIAL_WORK_MAX passes, at it nothing is computed
+    p, bits = 1009, 2
+    steps = -(-TRIAL_WORK_MAX // (p * bits + 512))  # the fewest at the ceiling
+    _check_trial_work(p, 2 * p * steps - 1, bits)
+    with pytest.raises(ValueError, match="TRIAL_WORK_MAX"):
+        _check_trial_work(p, 2 * p * steps, bits)
+    with pytest.raises(ValueError, match="TRIAL_WORK_MAX"):
+        scan(field_ctx(p), 3, 1, PLUS, 1 << 40)
+    # (2^5 + 1)/3 = 11: its square root, not the bound, ends the loop
+    assert [rec.q for rec in scan(CTX5, 2, 1, PLUS, 1 << 40)] == [11]
 
 
 def test_furtwangler_report_micro():

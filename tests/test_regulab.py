@@ -109,8 +109,7 @@ def bernoulli_mod_p_newton(p):
 
 def mul_mod(a, b, p, lo, hi):
     """Coefficients lo..hi-1 of a*b over F_p; a and b hold values in [0, p)."""
-    bound = min(len(a), len(b)) * (p - 1) ** 2
-    return [c % p for c in kronecker_mul(a, b, bound, lo, hi)]
+    return [c % p for c in kronecker_mul(a, b, lo, hi)]
 
 
 def odd_transform_direct(coeffs, count, omega, ell):
