@@ -44,11 +44,9 @@ from .fltharness import (
     MINUS,
     PLUS,
     BarlowAbelReport,
-    CongruenceReport,
     FurtwanglerReport,
     ScanRecord,
     ScanResult,
-    SymbolIdentityReport,
     TelescopeReport,
     barlow_abel_check,
     conjugate_symmetry_report,
@@ -60,6 +58,7 @@ from .fltharness import (
     scan,
     telescope_replay,
     verify_congruences,
+    verify_lines,
     verify_symbol_identities,
 )
 from .powsym import (

@@ -10,7 +10,8 @@ never ends the calling process.  Single results are printed as one
 JSON object; scans and verifications stream JSON lines.  Big integers
 are serialized as decimal strings; integer options are read as JSON
 integers are (``cycint.int_from_json``).  ``verify`` reads the lines
-``scan`` writes (``fltharness``); its ``"skipped"`` list is always [].
+``scan`` writes and prints the lines ``fltharness.verify_lines`` makes
+of them; it exits 2 when the last of them counts a failed record.
 
 The argument parser is built once per process, on the first ``run``
 call, and reused by every later one: parsing only reads it.
@@ -46,16 +47,13 @@ from .fltharness import (
     MINUS,
     PLUS,
     ScanRecord,
-    conjugate_symmetry_report,
-    furtwangler_report,
+    barlow_abel_check,
     line_from_json,
     partial_to_json,
     record_to_json,
     scan,
     telescope_replay,
-    verify_congruences,
-    verify_symbol_identities,
-    barlow_abel_check,
+    verify_lines,
 )
 from .ntheory import is_prime
 from .powsym import symbol
@@ -297,38 +295,9 @@ def _read_lines(path: str) -> list[ScanRecord | int]:
 
 
 def _cmd_verify(args) -> int:
-    failures = 0
-    count = 0
-    for rec in _read_lines(args.infile):
-        if isinstance(rec, int):  # a partial line's unfactored cofactor
-            _emit({"skipped_partial": True, "unfactored_cofactor": int_to_decimal(rec)})
-            continue
-        count += 1
-        cong = verify_congruences(rec)
-        symid = verify_symbol_identities(rec)
-        furt = furtwangler_report(rec)
-        conj = conjugate_symmetry_report(rec)
-        ok = cong.ok and symid.ok and furt.consistency_ok
-        if not ok:
-            failures += 1
-        _emit({
-            "q": rec.q,
-            "x": int_to_json(rec.x),
-            "y": int_to_json(rec.y),
-            "sign": "plus" if rec.sign == PLUS else "minus",
-            "congruences_ok": cong.ok,
-            "congruence_failures": [k for k, v in cong.per_k.items() if not v],
-            "symbol_identities_ok": symid.ok,
-            "symbol_identity_failures": [k for k, v in symid.per_k.items() if not v],
-            "skipped": [],
-            "specialization_triggered": symid.specialization_triggered,
-            "zeta_consistency_ok": furt.consistency_ok,
-            "p2_divides_q_minus_1": furt.p2_divides,
-            "display_holds": furt.display_holds,
-            "conjugate_symmetric": all(conj.values()),
-        })
-    _emit({"records": count, "failures": failures})
-    return 0 if failures == 0 else 2
+    for line in verify_lines(_read_lines(args.infile)):
+        _emit(line)
+    return 2 if line["failures"] else 0
 
 
 def _cmd_telescope(args) -> int:

@@ -2,28 +2,7 @@
 
 ``scan`` factors N = (x^p + s*y^p)/(x + s*y) (s = +1 or -1), locates for
 each prime factor q the distinguished degree-1 ideal dividing
-x*zeta + s*y, and records a full residue-symbol table.  The verify
-operations then check, per record:
-
-* the residue congruence x + zeta^k y = x (1 -+ zeta^(k+1)) mod the
-  ideal, k = 1..p-2 (sign - for plus scans, + for minus scans);
-* the symbol identity, kept in the form valid for arbitrary coprime
-  inputs:
-
-      sym(x + zeta^k y) = sym(x+y) + k*(1/2)*sym(zeta) + sym(unit_{k+1})
-
-  with the minus-family unit on plus scans and the plus-family unit on
-  minus scans, plus the specialised "dropped terms" form whenever its
-  guards sym(x+y) = 0 and sym(zeta) = 0 hold numerically;
-* congruence bookkeeping in the style of Furtwangler's first theorem
-  (q = 1 mod p^2 versus a trivial zeta symbol).
-
-``telescope_replay`` replays the telescoping symbol recurrences for both
-unit families symbolically over Z/p and compares against their closed
-forms.  ``barlow_abel_check`` evaluates the classical Barlow-Abel
-relation formats exactly on arbitrary (synthetic) inputs.
-
-Labels used in the per-record symbol table:
+x*zeta + s*y, and records a full residue-symbol table, labelled
 
     "zeta"           symbol exponent of zeta
     "x+y"            symbol of the rational integer x + y
@@ -31,16 +10,48 @@ Labels used in the per-record symbol table:
     "unit_minus[J]"  (plus scans)  symbol of the minus-family unit, J = K+1
     "unit_plus[J]"   (minus scans) symbol of the plus-family unit, J = K+1
 
-Every entry is an exponent in [0, p).
+Every entry is an exponent in [0, p).  A scan writes JSON lines of two
+kinds, and ``line_from_json`` reads both back: one record per located q
+(``record_to_json``), then, when a cofactor is left unfactored, one
+partial line (``partial_to_json``) holding ``"partial": true``, p, x, y,
+the sign and the cofactor.
 
-A scan writes JSON lines of two kinds, and ``line_from_json`` reads
-both back: one record per located q (``record_to_json``), then, when a
-cofactor is left unfactored, one partial line (``partial_to_json``)
-holding ``"partial": true``, p, x, y, the sign and the cofactor.
+``verify_lines`` writes the lines ``verify`` prints for them.  A
+record's line holds its "q", "x", "y" and "sign", then:
+
+* "congruences_ok" and "congruence_failures", the k = 1..p-2 at which
+  x + zeta^k y = x (1 -+ zeta^(k+1)) fails mod the ideal (sign - on
+  plus scans, + on minus scans);
+* "symbol_identities_ok" and "symbol_identity_failures", the k at which
+  the symbol identity, in the form valid for arbitrary coprime inputs,
+
+      sym(x + zeta^k y) = sym(x+y) + k*(1/2)*sym(zeta) + sym(unit_{k+1}),
+
+  fails; "specialization_triggered" says it is the "dropped terms" form
+  sym(x + zeta^k y) = sym(unit_{k+1}), as the entries "x+y" and "zeta"
+  are both 0;
+* "skipped", always [];
+* "zeta_consistency_ok", whether the entry "zeta" is 0 iff p^2 | q-1
+  ("p2_divides_q_minus_1"), as in Furtwangler's first theorem;
+* "display_holds" and "conjugate_symmetric", two relations reported,
+  never asserted.
+
+A record fails when a congruence, a symbol identity or the zeta
+consistency fails.  Each partial line gives {"skipped_partial": true,
+"unfactored_cofactor"}, and the last line is {"records", "failures"}.
+"congruences_ok" cannot be false on a record ``record_from_json``
+accepted: the sides of the k-th congruence differ by s w^k (x w + s y),
+and parsing already requires x w + s y = 0 mod q.
+
+``telescope_replay`` replays the telescoping symbol recurrences for both
+unit families symbolically over Z/p and compares against their closed
+forms.  ``barlow_abel_check`` evaluates the classical Barlow-Abel
+relation formats exactly on arbitrary (synthetic) inputs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from math import gcd
 from typing import NamedTuple
 
@@ -73,8 +84,6 @@ __all__ = [
     "TRIAL_WORK_MAX",
     "ScanRecord",
     "ScanResult",
-    "CongruenceReport",
-    "SymbolIdentityReport",
     "TelescopeReport",
     "BarlowCheck",
     "BarlowAbelReport",
@@ -90,6 +99,7 @@ __all__ = [
     "record_from_json",
     "partial_to_json",
     "line_from_json",
+    "verify_lines",
 ]
 
 PLUS = 1
@@ -262,76 +272,45 @@ def _build_record(ctx: FieldCtx, x: int, y: int, sign: int, n_value: int, q: int
     return ScanRecord(p, x, y, sign, n_value, q, ideal, q % (p * p), symbols)
 
 
-class CongruenceReport(NamedTuple):
-    """Residue-congruence check x + zeta^k y = x(1 -+ zeta^(k+1)) per k."""
-
-    q: int
-    per_k: dict[int, bool]
-    ok: bool
-
-
-def verify_congruences(rec: ScanRecord) -> CongruenceReport:
-    p, q = rec.p, rec.q
-    wpow = rec.ideal.w_powers
-    per_k: dict[int, bool] = {}
-    for k in range(1, p - 1):
-        lhs = (rec.x + wpow[k] * rec.y) % q
-        rhs = rec.x * (1 - rec.sign * wpow[k + 1]) % q
-        per_k[k] = lhs == rhs
-    return CongruenceReport(q=q, per_k=per_k, ok=all(per_k.values()))
+def verify_congruences(rec: ScanRecord) -> list[int]:
+    """The k in 1..p-2 at which x + zeta^k y = x (1 -+ zeta^(k+1)) fails
+    mod the record's ideal, in increasing order."""
+    q, wpow = rec.q, rec.ideal.w_powers
+    return [
+        k for k in range(1, rec.p - 1)
+        if (rec.x + wpow[k] * rec.y) % q != rec.x * (1 - rec.sign * wpow[k + 1]) % q
+    ]
 
 
-class SymbolIdentityReport(NamedTuple):
-    """Per-k outcome of the generalized symbol identity on a record.
-
-    per_k[k] says whether the identity holds at k.  ``specialization_triggered``
-    says whether the guards sym(x+y) = 0 and sym(zeta) = 0 of the
-    dropped-terms form sym(x + zeta^k y) = sym(unit_{k+1}) hold on the
-    record; under them that form is the full identity, so per_k checks
-    it too.  The identity is promised only at the ideal dividing
-    x*zeta + s*y; off that ideal a failure is the expected answer.
-    """
-
-    q: int
-    per_k: dict[int, bool]
-    specialization_triggered: bool
-    ok: bool
-
-
-def verify_symbol_identities(rec: ScanRecord) -> SymbolIdentityReport:
-    """Check sym(x + zeta^k y) = sym(x+y) + (k/2) sym(zeta) + sym(unit_{k+1}).
+def verify_symbol_identities(rec: ScanRecord) -> list[int]:
+    """The k in 1..p-2 at which
+    sym(x + zeta^k y) = sym(x+y) + (k/2) sym(zeta) + sym(unit_{k+1})
+    fails on the record's table, in increasing order.
 
     The identity rests on x + zeta^k y = x (1 -+ zeta^(k+1)), which holds
     only at the ideal dividing x*zeta + s*y (s the scan sign); for a
     record built against another ideal a failure is the expected
     answer, not a fault.
     """
-    p = rec.p
+    p, symbols = rec.p, rec.symbols
     inv2 = rec.ideal.ctx.inv2
-    zeta_e = rec.symbols["zeta"]
-    base = rec.symbols["x+y"]
-    per_k: dict[int, bool] = {}
-    for k in range(1, p - 1):
-        unit_e = rec.symbols[_unit_label(rec.sign, k + 1)]
-        per_k[k] = rec.symbols[_elem_label(k)] == (base + k * inv2 * zeta_e + unit_e) % p
-    return SymbolIdentityReport(
-        q=rec.q, per_k=per_k, specialization_triggered=base == 0 and zeta_e == 0,
-        ok=all(per_k.values()),
-    )
+    base, zeta_e = symbols["x+y"], symbols["zeta"]
+    return [
+        k for k in range(1, p - 1)
+        if symbols[_elem_label(k)]
+        != (base + k * inv2 * zeta_e + symbols[_unit_label(rec.sign, k + 1)]) % p
+    ]
 
 
-def conjugate_symmetry_report(rec: ScanRecord) -> dict[int, bool]:
-    """Whether sym(x + zeta^k y) = sym(x + zeta^(p-k) y), k = 2..p-2.
+def conjugate_symmetry_report(rec: ScanRecord) -> bool:
+    """Whether sym(x + zeta^k y) = sym(x + zeta^(p-k) y) for k = 2..p-2.
 
     Reported, never asserted: the relation holds only under hypotheses
     (class of the ideal in the minus part) that generic scan data does
     not satisfy.
     """
-    p = rec.p
-    return {
-        k: rec.symbols[_elem_label(k)] == rec.symbols[_elem_label(p - k)]
-        for k in range(2, p - 1)
-    }
+    p, symbols = rec.p, rec.symbols
+    return all(symbols[_elem_label(k)] == symbols[_elem_label(p - k)] for k in range(2, p - 1))
 
 
 class TelescopeReport(NamedTuple):
@@ -463,7 +442,8 @@ def barlow_abel_check(p: int, x: int, y: int, z: int) -> BarlowAbelReport:
 class FurtwanglerReport(NamedTuple):
     """Congruence/symbol bookkeeping on one record.
 
-    ``consistency_ok`` asserts zeta-symbol = 0 iff p^2 | q-1.  The
+    ``consistency_ok`` asserts that the record's "zeta" entry is 0 iff
+    p^2 | q-1; ``zeta_exp`` is the zeta symbol computed at the ideal.  The
     ``display_holds`` flag reports (never asserts) the conditional
     displays: on plus scans, whether sym(p) equals every sym(1-zeta^j);
     on minus scans, whether every sym(1+zeta^j) is trivial.  ``p_exp``
@@ -511,7 +491,7 @@ def furtwangler_report(rec: ScanRecord) -> FurtwanglerReport:
         p_exp=p_exp,
         family=family,
         family_exps=family_exps,
-        consistency_ok=(zeta_e == 0) == p2,
+        consistency_ok=(rec.symbols["zeta"] == 0) == p2,
         display_holds=display,
     )
 
@@ -612,3 +592,39 @@ def line_from_json(data: object) -> ScanRecord | int:
     if cofactor <= 1:
         raise ValueError("the unfactored cofactor must be above 1")
     return cofactor
+
+
+# ----------------------------------------------------------------------
+# verify lines: one per scan line, then the summary
+
+def verify_lines(entries: Iterable[ScanRecord | int]) -> Iterator[dict]:
+    """The lines ``verify`` prints for the scan lines ``entries``, as
+    ``line_from_json`` reads them: a record, or a partial line's cofactor.
+    The keys, and which checks fail a record, are in the module docstring."""
+    records = failures = 0
+    for entry in entries:
+        if isinstance(entry, int):
+            yield {"skipped_partial": True, "unfactored_cofactor": int_to_decimal(entry)}
+            continue
+        congruence_failures = verify_congruences(entry)
+        identity_failures = verify_symbol_identities(entry)
+        furt = furtwangler_report(entry)
+        records += 1
+        failures += bool(congruence_failures or identity_failures or not furt.consistency_ok)
+        yield {
+            "q": entry.q,
+            "x": int_to_json(entry.x),
+            "y": int_to_json(entry.y),
+            "sign": _SIGN_NAME[entry.sign],
+            "congruences_ok": not congruence_failures,
+            "congruence_failures": congruence_failures,
+            "symbol_identities_ok": not identity_failures,
+            "symbol_identity_failures": identity_failures,
+            "skipped": [],
+            "specialization_triggered": entry.symbols["x+y"] == 0 and entry.symbols["zeta"] == 0,
+            "zeta_consistency_ok": furt.consistency_ok,
+            "p2_divides_q_minus_1": furt.p2_divides,
+            "display_holds": furt.display_holds,
+            "conjugate_symmetric": conjugate_symmetry_report(entry),
+        }
+    yield {"records": records, "failures": failures}

@@ -57,8 +57,9 @@ __all__ = [
 ]
 
 
-#: Exclusive upper limit on q for an ideal addressed by its root or its
-#: modulus, and on q^f for a symbol (``powsym``).  Checked before any
+#: Exclusive upper limit on q for an ideal addressed by its root, its
+#: modulus or the element x*zeta + s*y it divides, and on q^f for a
+#: symbol (``powsym``).  Checked before any
 #: primality test, whose cost grows with q.
 Q_MAX = 1 << 128
 
@@ -314,8 +315,7 @@ def ideal_dividing(
         raise ResidueDegreeError("q is not 1 mod p, so no unramified degree-1 ideal lies above it")
     if (p * x * y) % q == 0:
         raise ValueError("q must not divide p*x*y")
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
+    _check_q(p, q, Q_MAX)
     w = -sign * y * pow(x, -1, q) % q
     if w == 1 or pow(w, p, q) != 1:
         return None

@@ -140,6 +140,21 @@ def test_verify_genuine_record(capsys, tmp_path):
     assert lines[1] == {"records": 1, "failures": 0}
 
 
+# the entry "zeta" flipped, nonzero -> 0 at q = 11 (p^2 does not divide
+# q - 1) and 0 -> nonzero at q = 101 (it does): the zeta consistency fails
+@pytest.mark.parametrize("x, q, zeta", [(2, 11, 0), (6, 101, 1)])
+def test_verify_tampered_zeta_entry_fails(capsys, tmp_path, x, q, zeta):
+    data = next(record_to_json(rec) for rec in scan(field_ctx(5), x, 1, PLUS, 10**6) if rec.q == q)
+    assert (data["symbols"]["zeta"] == 0) is (zeta != 0)
+    data["symbols"]["zeta"] = zeta
+    infile = write_lines(tmp_path / "tampered.jsonl", [data])
+    code, out, _ = run_cli(capsys, "verify", "--in", infile)
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 2
+    assert lines[0]["zeta_consistency_ok"] is False
+    assert lines[1] == {"records": 1, "failures": 1}
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--in", str(tmp_path / "absent.jsonl"))
     assert code == 1

@@ -23,6 +23,7 @@ from cyclores.fltharness import (
     scan,
     telescope_replay,
     verify_congruences,
+    verify_lines,
     verify_symbol_identities,
 )
 from cyclores.ntheory import is_prime
@@ -103,14 +104,12 @@ def test_scan_all_hits_are_one_mod_p():
 
 def test_verify_congruences_micro():
     rec = scan(CTX5, 2, 1, PLUS, 10**6)[0]
-    rep = verify_congruences(rec)
-    assert rep.ok and set(rep.per_k) == {1, 2, 3}
+    assert verify_congruences(rec) == []
     # k = 1 by hand: 2 + 5 = 7 and 2 (1 - 5^2) = -48 = 7 mod 11
     assert (2 + 5) % 11 == 2 * (1 - 25) % 11
 
     rec = scan(CTX5, 2, 1, MINUS, 10**6)[0]
-    rep = verify_congruences(rec)
-    assert rep.ok
+    assert verify_congruences(rec) == []
     # k = 1 by hand: 2 + 16 = 18 and 2 (1 + 16^2) = 514 = 18 mod 31
     assert (2 + 16) % 31 == 2 * (1 + 256) % 31
 
@@ -118,22 +117,19 @@ def test_verify_congruences_micro():
 def test_verify_symbol_identities_micro():
     for sign in (PLUS, MINUS):
         rec = scan(CTX5, 2, 1, sign, 10**6)[0]
-        rep = verify_symbol_identities(rec)
-        assert rep.ok
-        assert rep.per_k == {1: True, 2: True, 3: True}
-        assert not rep.specialization_triggered  # guards don't hold here
+        assert verify_symbol_identities(rec) == []
+        # guards don't hold here
+        assert next(verify_lines([rec]))["specialization_triggered"] is False
 
 
 def test_specialization_triggers_and_holds():
     # x = 7, y = 3 minus-scan hits q = 101 where sym(x+y) = 0 = sym(zeta)
     recs = [r for r in scan(CTX5, 7, 3, MINUS, 10**6) if r.q == 101]
     assert recs, "expected a q = 101 hit"
-    rep = verify_symbol_identities(recs[0])
     assert recs[0].symbols["x+y"] == 0 and recs[0].symbols["zeta"] == 0
     # under the guards the full identity is the dropped-terms form
-    assert rep.specialization_triggered
-    assert rep.per_k == {1: True, 2: True, 3: True}
-    assert rep.ok
+    assert next(verify_lines(recs))["specialization_triggered"] is True
+    assert verify_symbol_identities(recs[0]) == []
 
 
 def test_null_symbol_refused_and_off_ideal_record_fails():
@@ -162,18 +158,65 @@ def test_null_symbol_refused_and_off_ideal_record_fails():
     off = ScanRecord(
         p=5, x=2, y=1, sign=PLUS, n=11, q=11, ideal=ideal, q_mod_p2=11, symbols=symbols
     )
-    rep = verify_symbol_identities(off)
-    assert rep.per_k[1] is False and rep.per_k[3] is False
-    assert rep.ok is False
+    assert {1, 3} <= set(verify_symbol_identities(off))
+    # w^k (x w + y) = 7 w^k is nonzero mod 11, so every congruence fails
+    assert verify_congruences(off) == [1, 2, 3]
     with pytest.raises(ValueError, match="does not divide"):
         record_from_json(record_to_json(off))
 
 
 def test_conjugate_symmetry_report_shape():
-    rec = scan(CTX5, 2, 1, PLUS, 10**6)[0]
-    rep = conjugate_symmetry_report(rec)
-    assert set(rep) == {2, 3}
-    assert all(isinstance(v, bool) for v in rep.values())
+    # at p = 5 the relation compares the k = 2 and k = 3 entries
+    for sign, want in ((PLUS, True), (MINUS, False)):
+        rec = scan(CTX5, 2, 1, sign, 10**6)[0]
+        assert (rec.symbols["x+zeta^2*y"] == rec.symbols["x+zeta^3*y"]) is want
+        assert conjugate_symmetry_report(rec) is want
+
+
+def test_verify_lines_records_partial_and_summary():
+    plus = scan(CTX5, 2, 1, PLUS, 10**6)[0]
+    minus = scan(CTX5, 2, 1, MINUS, 10**6)[0]
+    lines = [record_to_json(plus), record_to_json(minus), partial_to_json(5, 6, 1, PLUS, 1111)]
+    out = list(verify_lines(line_from_json(json.loads(json.dumps(line))) for line in lines))
+    assert out[0] == {
+        "q": 11, "x": 2, "y": 1, "sign": "plus",
+        "congruences_ok": True, "congruence_failures": [],
+        "symbol_identities_ok": True, "symbol_identity_failures": [],
+        "skipped": [], "specialization_triggered": False,
+        "zeta_consistency_ok": True, "p2_divides_q_minus_1": False,
+        "display_holds": False, "conjugate_symmetric": True,
+    }
+    assert list(out[0]) == list(out[1])  # the same keys in the same order
+    assert out[1]["q"] == 31 and out[1]["sign"] == "minus"
+    assert out[2] == {"skipped_partial": True, "unfactored_cofactor": "1111"}
+    # both reported relations fail at q = 31 and neither fails the record
+    assert (out[1]["display_holds"], out[1]["conjugate_symmetric"]) == (False, False)
+    assert out[3] == {"records": 2, "failures": 0}
+    assert len(out) == 4
+    assert list(verify_lines([])) == [{"records": 0, "failures": 0}]
+
+
+def _zeta_retabled(rec, zeta):
+    # the entry "zeta" set to zeta, and every x + zeta^k y entry moved by
+    # k (1/2) of the change, so the symbol identity still holds
+    p, inv2 = rec.p, rec.ideal.ctx.inv2
+    symbols = dict(rec.symbols, zeta=zeta)
+    for k in range(1, p - 1):
+        symbols[f"x+zeta^{k}*y"] = (symbols[f"x+zeta^{k}*y"] + k * inv2 * (zeta - rec.symbols["zeta"])) % p
+    return rec._replace(symbols=symbols)
+
+
+def test_verify_lines_zeta_consistency_alone_fails_a_record():
+    rec11 = scan(CTX5, 2, 1, PLUS, 10**6)[0]  # "zeta" is 2; 25 does not divide 10
+    rec101 = {rec.q: rec for rec in scan(CTX5, 6, 1, PLUS, 10**6)}[101]  # "zeta" is 0
+    assert (rec11.symbols["zeta"], rec101.symbols["zeta"]) == (2, 0)
+    for rec, zeta in ((rec11, 0), (rec101, 1)):
+        tampered = record_from_json(record_to_json(_zeta_retabled(rec, zeta)))
+        line, summary = verify_lines([tampered])
+        assert line["congruences_ok"] and line["symbol_identities_ok"]
+        assert line["zeta_consistency_ok"] is False
+        assert summary == {"records": 1, "failures": 1}
+        assert furtwangler_report(tampered).zeta_exp == rec.symbols["zeta"]
 
 
 def test_telescope_micro_values():
@@ -404,8 +447,8 @@ def test_mini_sweep_all_identities_hold():
                     continue
                 for rec in scan(ctx, x, y, sign, 10**6):
                     assert rec.q % p == 1
-                    assert verify_congruences(rec).ok
-                    assert verify_symbol_identities(rec).ok
+                    assert verify_congruences(rec) == []
+                    assert verify_symbol_identities(rec) == []
                     checked += 1
     assert checked > 100
 

@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import time
 
 import pytest
 from sympy import GF, ZZ, Poly, symbols
@@ -380,6 +381,21 @@ def test_ideal_dividing_checks_before_primality(monkeypatch):
         ideal_dividing(CTX5, 21, 2, 1, 1)  # 1 mod 5, composite
     assert ideal_dividing(CTX5, 11, 2, 1, 1).w == 5
     assert calls == [21, 11]
+
+
+def test_ideal_dividing_refuses_a_large_q_by_its_size():
+    # q = 2053 m, 16 000 bits, 1 mod 5 and free of primes below 2^11,
+    # so only a full primality test would find it composite; its size is
+    # refused first, and the message names the bit length, not q
+    m = next(m for m in range((1 << 15988) + 1, (1 << 15988) + 10**5, 2)
+             if 2053 * m % 5 == 1 and all(m % d for d in range(3, 2048, 2)))
+    q = 2053 * m
+    assert q.bit_length() == 16000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="q has 16000 bits") as info:
+        ideal_dividing(CTX5, q, 2, 1, 1)
+    assert time.perf_counter() - start < 1
+    assert len(str(info.value)) < 100
 
 
 def test_ideal_from_root_validation():
