@@ -1,8 +1,10 @@
 """Scan-and-verify harness for primes dividing (x^p +- y^p)/(x +- y).
 
-``scan`` factors N = (x^p + s*y^p)/(x + s*y) (s = +1 or -1), locates for
-each prime factor q the distinguished degree-1 ideal dividing
-x*zeta + s*y, and records a full residue-symbol table, labelled
+``scan`` factors N = (x^p + s*y^p)/(x + s*y) (s = +1 or -1), by trial
+division over the candidates q = 1 (mod 2p) that a small-prime sieve
+leaves, locates for each prime factor q the distinguished degree-1
+ideal dividing x*zeta + s*y, and records a full residue-symbol table,
+labelled, in this order,
 
     "zeta"           symbol exponent of zeta
     "x+y"            symbol of the rational integer x + y
@@ -10,11 +12,14 @@ x*zeta + s*y, and records a full residue-symbol table, labelled
     "unit_minus[J]"  (plus scans)  symbol of the minus-family unit, J = K+1
     "unit_plus[J]"   (minus scans) symbol of the plus-family unit, J = K+1
 
-Every entry is an exponent in [0, p).  A scan writes JSON lines of two
-kinds, and ``line_from_json`` reads both back: one record per located q
-(``record_to_json``), then, when a cofactor is left unfactored, one
-partial line (``partial_to_json``) holding ``"partial": true``, p, x, y,
-the sign and the cofactor.
+the last two alternating, K = 1 first.  Every entry is an exponent in
+[0, p).  The labels of one (p, s) are made once (``_labels``), and the
+record builder, the reader and the checks share them.
+
+A scan writes JSON lines of two kinds, and ``line_from_json`` reads both
+back: one record per located q (``record_to_json``), then, when a
+cofactor is left unfactored, one partial line (``partial_to_json``)
+holding ``"partial": true``, p, x, y, the sign and the cofactor.
 
 ``verify_lines`` writes the lines ``verify`` prints for them.  A
 record's line holds its "q", "x", "y" and "sign", then:
@@ -34,7 +39,8 @@ record's line holds its "q", "x", "y" and "sign", then:
 * "zeta_consistency_ok", whether the entry "zeta" is 0 iff p^2 | q-1
   ("p2_divides_q_minus_1"), as in Furtwangler's first theorem;
 * "display_holds" and "conjugate_symmetric", two relations reported,
-  never asserted.
+  never asserted; ``furtwangler_report`` computes the symbols of the
+  display's family only until it is decided, and keeps none of them.
 
 A record fails when a congruence, a symbol identity or the zeta
 consistency fails.  Each partial line gives {"skipped_partial": true,
@@ -52,7 +58,10 @@ relation formats exactly on arbitrary (synthetic) inputs.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from math import gcd
+from functools import lru_cache
+from itertools import compress
+from math import gcd, isqrt
+from operator import itemgetter
 from typing import NamedTuple
 
 from .cycint import (
@@ -68,7 +77,7 @@ from .cycint import (
     int_to_json,
 )
 from .cycunits import unit_minus, unit_plus
-from .ntheory import is_prime, kth_root_exact, valuation
+from .ntheory import is_prime, kth_root_exact, primes_upto, valuation
 from .powsym import residue_symbol, symbol, zeta_symbol
 from .resfield import (
     PrimeIdealRep,
@@ -120,11 +129,13 @@ POWER_BITS_MAX = 1 << 18
 #: steps, reach = min(trial_bound, 2^(p bits/2 + 1)) (the loop stops at
 #: sqrt(N) too), each dividing an N of about p * bits bits, plus 512 for
 #: a step's own overhead; a divisor past 2^30 costs about 3 times more.
-#: Set by running time (2-core x86-64, CPython 3.11); at 0.9 of it, p = 5:
-#: a 30 000-bit x, trial bound 10^6 2.9 s, x = 8388647 (N prime) 3.2 s;
-#: p = 101, a 64-bit x 3.6 s; p = 1009, x = 3 7.3 s.  Past it: p = 5, a
-#: 52 428-bit x, trial bound 10^6 5.6 s; p = 1009, x = 3, trial bound 2^40
-#: about 11 min.  The default bound 10^6 passes it at p >= 11, any x.
+#: The sieve leaves about a quarter of the steps to divide, so this
+#: overstates the work.  Set by running time (2-core x86-64, CPython
+#: 3.11); at 0.9 of it, p = 5: a 30 000-bit x, trial bound 10^6 0.95 s,
+#: x = 8388647 (N prime) 1.3 s; p = 101, a 64-bit x 1.0 s; p = 1009,
+#: x = 3 2.1 s.  Past it: p = 5, a 52 428-bit x, trial bound 10^6 1.6 s;
+#: p = 1009, x = 3, trial bound 2^40 about 3 min.  The default bound
+#: 10^6 passes it at p >= 11, any x.
 TRIAL_WORK_MAX = 1 << 34
 
 
@@ -182,23 +193,45 @@ class ScanResult(Frozen):
         return self.records[i]
 
 
+#: ``_trial_factors`` strikes every candidate with one of these odd prime
+#: factors before it divides.  It sieves _SIEVE_BLOCK candidates at a
+#: time, so that its memory does not grow with the trial bound.
+_SIEVE_PRIMES = primes_upto(127)[1:]
+_SIEVE_BLOCK = 1 << 15
+
+
 def _trial_factors(p: int, n: int, trial_bound: int) -> tuple[list[int], int]:
     """Distinct primes q = 1 mod p with q <= trial_bound dividing n, and the
     remaining cofactor.  Relies on gcd(x, y) = 1: the scanned quotient is
     odd and every prime factor of it other than p itself is = 1 mod p,
-    hence = 1 mod 2p.  The loop steps d through that progression; a
-    composite d never divides what is left, because its prime factors
-    are smaller members of the progression and were divided out first."""
+    hence = 1 mod 2p.  A composite candidate d of that progression never
+    divides what is left: its prime factors would divide n, so each would
+    be a smaller candidate, divided out already.  A sieve therefore
+    strikes every candidate with an odd prime factor below 128 other than
+    itself, and only the survivors divide, up to the bound and the square
+    root of what is left."""
     found: list[int] = []
     rem = n
     step = 2 * p
-    d = step + 1
-    while d <= trial_bound and d * d <= rem:
-        if rem % d == 0:
-            found.append(d)
-            while rem % d == 0:
-                rem //= d
-        d += step
+    count = (min(trial_bound, isqrt(n)) - 1) // step  # candidates 1 + step*i, i = 1..count
+    strikes = []  # (r, the first i with r | 1 + step*i, past r itself)
+    for r in _SIEVE_PRIMES:
+        if r != p:  # p divides no candidate
+            i = -pow(step, -1, r) % r
+            strikes.append((r, i + r if 1 + step * i == r else i))
+    for lo in range(1, count + 1, _SIEVE_BLOCK):
+        size = min(_SIEVE_BLOCK, count + 1 - lo)
+        keep = bytearray(b"\x01") * size
+        for r, i in strikes:
+            start = max(i, lo + (i - lo) % r) - lo
+            keep[start::r] = bytes(len(range(start, size, r)))
+        for d in compress(range(1 + step * lo, 1 + step * (lo + size), step), keep):
+            if d * d > rem:
+                return found, rem
+            if rem % d == 0:
+                found.append(d)
+                while rem % d == 0:
+                    rem //= d
     return found, rem
 
 
@@ -246,12 +279,21 @@ def scan(ctx: FieldCtx, x: int, y: int, sign: int, trial_bound: int) -> ScanResu
     return ScanResult(records=records, unfactored_cofactor=unfactored)
 
 
-def _elem_label(k: int) -> str:
-    return f"x+zeta^{k}*y"
+@lru_cache(maxsize=16)
+def _labels(p: int, sign: int) -> tuple[tuple[str, ...], itemgetter]:
+    """A record's symbol labels in table order: "zeta", "x+y", then, for
+    k = 1..p-2, the labels of x + zeta^k y and of unit_{k+1}; and the
+    getter of a table's entries in that order."""
+    unit = "unit_minus" if sign == PLUS else "unit_plus"
+    keys = ["zeta", "x+y"]
+    for k in range(1, p - 1):
+        keys += (f"x+zeta^{k}*y", f"{unit}[{k + 1}]")
+    return tuple(keys), itemgetter(*keys)
 
 
-def _unit_label(sign: int, j: int) -> str:
-    return f"unit_minus[{j}]" if sign == PLUS else f"unit_plus[{j}]"
+def _table(rec: ScanRecord) -> tuple[int, ...]:
+    """The record's symbol entries in table order."""
+    return _labels(rec.p, rec.sign)[1](rec.symbols)
 
 
 def _build_record(ctx: FieldCtx, x: int, y: int, sign: int, n_value: int, q: int) -> ScanRecord:
@@ -263,12 +305,13 @@ def _build_record(ctx: FieldCtx, x: int, y: int, sign: int, n_value: int, q: int
     ideal = ideal_dividing(ctx, q, x, y, sign)
     if ideal is None:
         raise InternalError(f"no root-of-unity divisor of x*zeta+sign*y above q={q}")
-    symbols = {"zeta": zeta_symbol(ideal), "x+y": symbol(cyc_int(ctx, x + y), ideal)}
+    values = [zeta_symbol(ideal), symbol(cyc_int(ctx, x + y), ideal)]
     for k in range(1, p - 1):
         # x + zeta^k y = x (1 -+ zeta^(k+1)) mod the ideal; neither factor lies in it
-        symbols[_elem_label(k)] = symbol(cyc_new(ctx, [(0, x), (k, y)]), ideal)
+        values.append(symbol(cyc_new(ctx, [(0, x), (k, y)]), ideal))
         unit = unit_minus(ctx, k + 1) if sign == PLUS else unit_plus(ctx, k + 1)
-        symbols[_unit_label(sign, k + 1)] = symbol(unit, ideal)
+        values.append(symbol(unit, ideal))
+    symbols = dict(zip(_labels(p, sign)[0], values))
     return ScanRecord(p, x, y, sign, n_value, q, ideal, q % (p * p), symbols)
 
 
@@ -292,13 +335,11 @@ def verify_symbol_identities(rec: ScanRecord) -> list[int]:
     record built against another ideal a failure is the expected
     answer, not a fault.
     """
-    p, symbols = rec.p, rec.symbols
-    inv2 = rec.ideal.ctx.inv2
-    base, zeta_e = symbols["x+y"], symbols["zeta"]
+    p, table = rec.p, _table(rec)
+    base, half_zeta = table[1], rec.ideal.ctx.inv2 * table[0]
     return [
-        k for k in range(1, p - 1)
-        if symbols[_elem_label(k)]
-        != (base + k * inv2 * zeta_e + symbols[_unit_label(rec.sign, k + 1)]) % p
+        k for k, elem, unit in zip(range(1, p - 1), table[2::2], table[3::2])
+        if elem != (base + k * half_zeta + unit) % p
     ]
 
 
@@ -309,8 +350,8 @@ def conjugate_symmetry_report(rec: ScanRecord) -> bool:
     (class of the ideal in the minus part) that generic scan data does
     not satisfy.
     """
-    p, symbols = rec.p, rec.symbols
-    return all(symbols[_elem_label(k)] == symbols[_elem_label(p - k)] for k in range(2, p - 1))
+    elems = _table(rec)[2::2]  # k = 1..p-2
+    return elems[1:] == elems[:0:-1]
 
 
 class TelescopeReport(NamedTuple):
@@ -447,8 +488,8 @@ class FurtwanglerReport(NamedTuple):
     ``display_holds`` flag reports (never asserts) the conditional
     displays: on plus scans, whether sym(p) equals every sym(1-zeta^j);
     on minus scans, whether every sym(1+zeta^j) is trivial.  ``p_exp``
-    and ``family_exps`` are symbols at the record's degree-1 ideal,
-    read from the residues p and 1 -+ w^j in F_q.
+    is the symbol of p at the record's degree-1 ideal, read from the
+    residue p in F_q, as are the family's symbols, from 1 -+ w^j.
     """
 
     q: int
@@ -456,7 +497,6 @@ class FurtwanglerReport(NamedTuple):
     zeta_exp: int
     p_exp: int
     family: str
-    family_exps: dict[int, int]
     consistency_ok: bool
     display_holds: bool
 
@@ -466,31 +506,26 @@ def furtwangler_report(rec: ScanRecord) -> FurtwanglerReport:
 
     The record's ideal has degree 1, so each element's residue is the
     F_q scalar 1 -+ w^j (or p) and its symbol one power map away.  None
-    of them vanishes: w has order p, so w^j is neither 1 nor -1.
+    of them vanishes: w has order p, so w^j is neither 1 nor -1.  The
+    family's symbols are computed only until the display is decided.
     """
     ideal = rec.ideal
     p, q = ideal.ctx.p, ideal.q
-    zeta_e = zeta_symbol(ideal)
     p2 = (q - 1) % (p * p) == 0
     p_exp = residue_symbol(ideal, p % q)
-    fam_sign = -1 if rec.sign == PLUS else 1
-    family = "1-zeta^j" if rec.sign == PLUS else "1+zeta^j"
-    wpow = ideal.w_powers
-    family_exps = {
-        j: residue_symbol(ideal, (1 + fam_sign * wpow[j]) % q)
-        for j in range(1, p)
-    }
+    roots = ideal.w_powers[1:]
     if rec.sign == PLUS:
-        display = all(e == p_exp for e in family_exps.values())
+        family = "1-zeta^j"
+        display = all(residue_symbol(ideal, (1 - w) % q) == p_exp for w in roots)
     else:
-        display = not any(family_exps.values())
+        family = "1+zeta^j"
+        display = not any(residue_symbol(ideal, (1 + w) % q) for w in roots)
     return FurtwanglerReport(
         q=rec.q,
         p2_divides=p2,
-        zeta_exp=zeta_e,
+        zeta_exp=zeta_symbol(ideal),
         p_exp=p_exp,
         family=family,
-        family_exps=family_exps,
         consistency_ok=(rec.symbols["zeta"] == 0) == p2,
         display_holds=display,
     )
@@ -546,14 +581,12 @@ def record_from_json(data: dict) -> ScanRecord:
         raise ValueError("recorded ideal does not divide x*zeta + sign*y")
     symbols_raw = data["symbols"]
     symbols: dict[str, int] = {}
-    expected = ["zeta", "x+y"]
-    for k in range(1, p - 1):
-        expected.append(_elem_label(k))
-        expected.append(_unit_label(sign, k + 1))
-    for key in expected:
+    for key in _labels(p, sign)[0]:
         if key not in symbols_raw:
             raise ValueError(f"record is missing symbol entry {key!r}")
-        e = int_from_json(symbols_raw[key])
+        e = symbols_raw[key]
+        if type(e) is not int:
+            e = int_from_json(e)
         if not 0 <= e < p:
             raise ValueError(f"symbol entry {key!r} = {e} is not in [0, {p})")
         symbols[key] = e

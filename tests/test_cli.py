@@ -213,6 +213,38 @@ def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     assert err.startswith("error:") and len(err.replace(str(infile), "")) < 200
 
 
+SYMBOLS5 = genuine_record()["symbols"]
+
+
+# a non-object table is refused with Python's own message, which is not pinned
+@pytest.mark.parametrize("symbols, message", [
+    (5, None),
+    (None, None),
+    ("zeta", None),
+    ([1, 2], "record is missing symbol entry 'zeta'"),
+    ({key: e for key, e in SYMBOLS5.items() if key != "unit_minus[3]"},
+     "record is missing symbol entry 'unit_minus[3]'"),
+    ({**SYMBOLS5, "x+zeta^2*y": 5}, "symbol entry 'x+zeta^2*y' = 5 is not in [0, 5)"),
+    ({**SYMBOLS5, "unit_minus[4]": -1}, "symbol entry 'unit_minus[4]' = -1 is not in [0, 5)"),
+    ({**SYMBOLS5, "x+y": True}, "not an integer: a bool"),
+], ids=["int", "null", "string", "list", "missing-entry", "entry-p", "entry-negative",
+        "entry-bool"])
+def test_verify_refused_symbol_tables_exit_1(capsys, tmp_path, symbols, message):
+    infile = write_lines(tmp_path / "bad.jsonl", [edited(symbols=symbols)])
+    code, out, err = run_cli(capsys, "verify", "--in", infile)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {infile}:1: bad record: ")
+    if message is not None:
+        assert err == f"error: {infile}:1: bad record: {message}\n"
+
+
+def test_verify_accepts_decimal_string_symbol_entries(capsys, tmp_path):
+    as_strings = edited(symbols={key: str(e) for key, e in SYMBOLS5.items()})
+    code, out, _ = run_cli(capsys, "verify", "--in", write_lines(tmp_path / "s.jsonl", [as_strings]))
+    want = run_cli(capsys, "verify", "--in", write_lines(tmp_path / "g.jsonl", [genuine_record()]))
+    assert (code, out) == want[:2] and code == 0
+
+
 SCAN5 = ["scan", "--p", "5", "--x", "2", "--y", "1", "--sign", "plus"]
 SYMBOL5 = ["symbol", "--p", "5", "--q", "11", "--w", "3"]
 # psi_12 and psi_13: composites that pass the strong-pseudoprime tests to

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 import pytest
 import sympy
 
+from cyclores import fltharness
 from cyclores.cycint import cyc_int, cyc_new, field_ctx, int_to_decimal
 from cyclores.cycunits import unit_minus
 from cyclores.fltharness import (
@@ -13,6 +14,7 @@ from cyclores.fltharness import (
     TRIAL_WORK_MAX,
     ScanRecord,
     _check_trial_work,
+    _trial_factors,
     barlow_abel_check,
     conjugate_symmetry_report,
     furtwangler_report,
@@ -300,7 +302,7 @@ def test_furtwangler_report_micro():
     rec11 = scan(CTX5, 2, 1, PLUS, 10**6)[0]
     rep = furtwangler_report(rec11)
     assert not rep.p2_divides and rep.zeta_exp == 2 and rep.consistency_ok
-    assert rep.family == "1-zeta^j" and set(rep.family_exps) == {1, 2, 3, 4}
+    assert rep.family == "1-zeta^j"
 
     recs = scan(CTX5, 6, 1, PLUS, 10**6)
     by_q = {r.q: r for r in recs}
@@ -321,6 +323,14 @@ FURTWANGLER_SCANS = [
 ]
 
 
+def _dense_furtwangler(rec):
+    # sym(p) and the display, from dense symbols of p and of every 1 -+ zeta^j
+    ctx, p = rec.ideal.ctx, rec.p
+    family = [symbol(cyc_new(ctx, [(0, 1), (j, -rec.sign)]), rec.ideal) for j in range(1, p)]
+    p_exp = symbol(cyc_int(ctx, p), rec.ideal)
+    return p_exp, all(e == p_exp for e in family) if rec.sign == PLUS else not any(family)
+
+
 @pytest.mark.parametrize("p, x, y, sign", FURTWANGLER_SCANS)
 def test_furtwangler_report_matches_dense_oracle(p, x, y, sign):
     ctx = field_ctx(p)
@@ -328,17 +338,21 @@ def test_furtwangler_report_matches_dense_oracle(p, x, y, sign):
     assert len(records) >= 1
     for rec in records:
         rep = furtwangler_report(rec)
-        family = {j: symbol(cyc_new(ctx, [(0, 1), (j, -sign)]), rec.ideal)
-                  for j in range(1, p)}
-        p_exp = symbol(cyc_int(ctx, p), rec.ideal)
         assert rep.family == ("1-zeta^j" if sign == PLUS else "1+zeta^j")
-        assert rep.family_exps == family
-        assert rep.p_exp == p_exp
+        assert (rep.p_exp, rep.display_holds) == _dense_furtwangler(rec)
         assert rep.zeta_exp == zeta_symbol(rec.ideal)
-        if sign == PLUS:
-            assert rep.display_holds == all(e == p_exp for e in family.values())
-        else:
-            assert rep.display_holds == (not any(family.values()))
+
+
+# the display holds on the first two records, and fails on the last two
+@pytest.mark.parametrize("x, y, sign, q, holds", [
+    (43, 24, PLUS, 22901, True), (6, 5, MINUS, 4651, True),
+    (2, 1, PLUS, 11, False), (2, 1, MINUS, 31, False),
+])
+def test_furtwangler_display_holds_either_way(x, y, sign, q, holds):
+    rec = {rec.q: rec for rec in scan(CTX5, x, y, sign, 10**6)}[q]
+    rep = furtwangler_report(rec)
+    assert rep.display_holds is holds
+    assert (rep.p_exp, holds) == _dense_furtwangler(rec)
 
 
 def test_record_json_round_trip():
@@ -457,3 +471,62 @@ def test_scan_validates_trial_bound_type():
     assert is_prime(2)  # keep the import honest
     with pytest.raises(ValueError):
         scan(CTX5, 2, 1, PLUS, 2**40 + 1)
+
+
+# N = (9^5 - 5^5)/(9 - 5) = 13981 = 11 * 31 * 41: a candidate equal to the
+# bound is tried, and a prime cofactor is recorded past the bound
+@pytest.mark.parametrize("bound, qs, cofactor", [
+    (10, [], 13981), (11, [11], 1271), (30, [11], 1271), (31, [11, 31, 41], None),
+])
+def test_scan_trial_bound_edges(bound, qs, cofactor):
+    result = scan(CTX5, 9, 5, MINUS, bound)
+    assert [rec.q for rec in result] == qs
+    assert result.unfactored_cofactor == cofactor
+
+
+def _trial_oracle(p, n, bound):
+    # every candidate 1 + 2p i divides in turn, composite or not
+    found, rem, d = [], n, 2 * p + 1
+    while d <= bound and d * d <= rem:
+        if rem % d == 0:
+            found.append(d)
+            while rem % d == 0:
+                rem //= d
+        d += 2 * p
+    return found, rem
+
+
+# small p have sieve primes among their candidates: 7 and 13 at p = 3,
+# 11 and 31 at p = 5
+TRIAL_ORACLE_CASES = [(p, bound) for p in sympy.primerange(3, 60) for bound in (10**2, 10**4, 10**6)]
+TRIAL_ORACLE_CASES += [(211, 10**6), (1009, 10**6)]
+
+
+def _stripped_quotients(p):
+    # (x^p + s y^p)/(x + s y) over coprime 1 <= x, y <= 12 and both signs,
+    # with the factor p divided out, as scan hands them to _trial_factors
+    for x in range(1, 13):
+        for y in range(1, 13):
+            for sign in (PLUS, MINUS):
+                if gcd(x, y) != 1 or x + sign * y == 0:
+                    continue
+                n = (x**p + sign * y**p) // (x + sign * y)
+                while n % p == 0:
+                    n //= p
+                yield n
+
+
+@pytest.mark.parametrize("p, bound", TRIAL_ORACLE_CASES)
+def test_trial_factors_match_unsieved_loop(p, bound):
+    for n in _stripped_quotients(p):
+        assert _trial_factors(p, n, bound) == _trial_oracle(p, n, bound), n
+
+
+# the sieve runs block by block; small blocks put many candidates at the
+# edges of one
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_trial_factors_sieve_blocks(monkeypatch, block):
+    monkeypatch.setattr(fltharness, "_SIEVE_BLOCK", block)
+    for p in (3, 5, 7, 13):
+        for n in _stripped_quotients(p):
+            assert _trial_factors(p, n, 10**4) == _trial_oracle(p, n, 10**4), (p, n)
