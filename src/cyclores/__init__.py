@@ -43,11 +43,8 @@ from .cycunits import (
 from .fltharness import (
     MINUS,
     PLUS,
-    BarlowAbelReport,
-    FurtwanglerReport,
     ScanRecord,
     ScanResult,
-    TelescopeReport,
     barlow_abel_check,
     conjugate_symmetry_report,
     furtwangler_report,

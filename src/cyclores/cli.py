@@ -303,21 +303,14 @@ def _cmd_verify(args) -> int:
 def _cmd_telescope(args) -> int:
     if not 5 <= args.pmax < TELESCOPE_P_MAX:
         raise UsageError(f"--pmax must be in [5, {TELESCOPE_P_MAX})")
-    checked = []
-    all_match = True
-    for p in range(5, args.pmax + 1):
-        if not is_prime(p):
-            continue
-        report = telescope_replay(field_ctx(p))
-        checked.append(p)
-        if not (report.match and report.minus_chain_zero):
-            all_match = False
+    checked = [p for p in range(5, args.pmax + 1) if is_prime(p)]
+    all_match = all(telescope_replay(field_ctx(p)) for p in checked)
     _emit({"match": all_match, "pmax": args.pmax, "primes_checked": checked})
     return 0 if all_match else 2
 
 
 def _cmd_barlow(args) -> int:
-    report = barlow_abel_check(args.p, args.x, args.y, args.z)
+    checks = barlow_abel_check(args.p, args.x, args.y, args.z)
     _emit({
         "p": args.p,
         "x": int_to_json(args.x),
@@ -325,7 +318,7 @@ def _cmd_barlow(args) -> int:
         "z": int_to_json(args.z),
         "checks": [
             {"name": c.name, "holds": c.holds, "detail": c.detail}
-            for c in report.checks
+            for c in checks
         ],
     })
     return 0

@@ -91,7 +91,8 @@ class Frozen:
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls):
-        # a plain callable, not a method: called as self._values(self)
+        # a plain callable, not a method: called as self._values(self); of
+        # one field it gives the value itself, which compares and hashes too
         cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other):
@@ -109,33 +110,33 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values(self)
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__name__}({args})"
 
 
 class FieldCtx(Frozen):
-    """Context of the p-th cyclotomic field: p and the inverse of 2 mod p."""
+    """Context of the p-th cyclotomic field: p, and ``inv2``, the inverse of
+    2 mod p, derived from it."""
 
-    __slots__ = _fields = ("p", "inv2")
+    __slots__ = ("p", "inv2")
+    _fields = ("p",)
     p: int
     inv2: int
 
-    def __init__(self, p: int, inv2: int):
+    def __init__(self, p: int):
         check_p(p)
         if p == 3:
             raise ValueError("the field needs p > 3")
-        if 2 * inv2 % p != 1:
-            raise ValueError("inv2 is not the inverse of 2 mod p")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "inv2", inv2)
+        object.__setattr__(self, "inv2", (p + 1) // 2)
 
 
 def field_ctx(p: int) -> FieldCtx:
     """Context for the p-th cyclotomic field."""
-    return FieldCtx(p, (p + 1) // 2)
+    return FieldCtx(p)
 
 
 class CycInt(Frozen):

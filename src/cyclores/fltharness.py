@@ -37,10 +37,12 @@ record's line holds its "q", "x", "y" and "sign", then:
   are both 0;
 * "skipped", always [];
 * "zeta_consistency_ok", whether the entry "zeta" is 0 iff p^2 | q-1
-  ("p2_divides_q_minus_1"), as in Furtwangler's first theorem;
+  ("p2_divides_q_minus_1"), as in Furtwangler's first theorem; both
+  are decided here, from the record's q and its table, with no symbol
+  recomputed;
 * "display_holds" and "conjugate_symmetric", two relations reported,
-  never asserted; ``furtwangler_report`` computes the symbols of the
-  display's family only until it is decided, and keeps none of them.
+  never asserted: the bools of ``furtwangler_report`` and
+  ``conjugate_symmetry_report``.
 
 A record fails when a congruence, a symbol identity or the zeta
 consistency fails.  Each partial line gives {"skipped_partial": true,
@@ -50,9 +52,10 @@ accepted: the sides of the k-th congruence differ by s w^k (x w + s y),
 and parsing already requires x w + s y = 0 mod q.
 
 ``telescope_replay`` replays the telescoping symbol recurrences for both
-unit families symbolically over Z/p and compares against their closed
-forms.  ``barlow_abel_check`` evaluates the classical Barlow-Abel
-relation formats exactly on arbitrary (synthetic) inputs.
+unit families symbolically over Z/p and returns whether they meet their
+closed forms.  ``barlow_abel_check`` evaluates the classical Barlow-Abel
+relation formats exactly on arbitrary (synthetic) inputs and returns one
+``BarlowCheck`` per format.
 """
 
 from __future__ import annotations
@@ -93,10 +96,7 @@ __all__ = [
     "TRIAL_WORK_MAX",
     "ScanRecord",
     "ScanResult",
-    "TelescopeReport",
     "BarlowCheck",
-    "BarlowAbelReport",
-    "FurtwanglerReport",
     "scan",
     "verify_congruences",
     "verify_symbol_identities",
@@ -129,14 +129,15 @@ POWER_BITS_MAX = 1 << 18
 #: steps, reach = min(trial_bound, 2^(p bits/2 + 1)) (the loop stops at
 #: sqrt(N) too), each dividing an N of about p * bits bits, plus 512 for
 #: a step's own overhead; a divisor past 2^30 costs about 3 times more.
-#: The sieve leaves about a quarter of the steps to divide, so this
-#: overstates the work.  Set by running time (2-core x86-64, CPython
-#: 3.11); at 0.9 of it, p = 5: a 30 000-bit x, trial bound 10^6 0.95 s,
-#: x = 8388647 (N prime) 1.3 s; p = 101, a 64-bit x 1.0 s; p = 1009,
-#: x = 3 2.1 s.  Past it: p = 5, a 52 428-bit x, trial bound 10^6 1.6 s;
-#: p = 1009, x = 3, trial bound 2^40 about 3 min.  The default bound
-#: 10^6 passes it at p >= 11, any x.
-TRIAL_WORK_MAX = 1 << 34
+#: The sieve leaves about a quarter of the steps to divide; the ceiling
+#: is set by running time with the sieve in place (2-core x86-64, CPython
+#: 3.11).  At 0.9 of it: p = 5, x = 8388647 (N unfactored) 3.2 s; p = 101,
+#: a 64-bit x 2.1 s; p = 1009, x = 3 4.7 s.  Below it, p = 5 with a
+#: 52 428-bit x (the most POWER_BITS_MAX allows), trial bound 10^6, is
+#: 0.76 of it: 1.8 s.  Past it: p = 1009, x = 3 at 1.8 of it 10 s, at
+#: trial bound 2^40 about 3.5 min.  The default bound 10^6 passes it at
+#: every p, with any x that POWER_BITS_MAX admits.
+TRIAL_WORK_MAX = 1 << 35
 
 
 def _check_power_size(p: int, *bases: int) -> None:
@@ -354,61 +355,32 @@ def conjugate_symmetry_report(rec: ScanRecord) -> bool:
     return elems[1:] == elems[:0:-1]
 
 
-class TelescopeReport(NamedTuple):
-    """Replayed telescoping chains versus their closed forms.
-
-    even_chain[k'] is the accumulated zeta-exponent of the plus-family
-    unit with index p-2k'-1, odd_chain[k'] the one with index p-2k';
-    ``match`` holds iff both agree with the closed forms -k'(k'+1) and
-    1/4 - k'^2 mod p.  ``minus_chain_zero`` reports the minus-family
-    replay, whose steps are trivial and must collapse every exponent
-    to zero.
-    """
-
-    p: int
-    even_chain: dict[int, int]
-    odd_chain: dict[int, int]
-    closed_even: dict[int, int]
-    closed_odd: dict[int, int]
-    match: bool
-    minus_chain_zero: bool
-
-
-def telescope_replay(ctx: FieldCtx) -> TelescopeReport:
-    """Replay the telescoping symbol recurrences over Z/p.
+def telescope_replay(ctx: FieldCtx) -> bool:
+    """Replay the telescoping symbol recurrences over Z/p; whether both
+    chains meet their closed forms and the minus chain collapses.
 
     Symbols are treated as formal unknowns; only the zeta-exponent (one
     formal unit t) accumulates.  Even chain: from the index-(p-1) unit
-    downward, each step k = 2k' contributes -2k'.  Odd chain: from the
-    index-1 unit upward, each step contributes 2k'+1.  The minus-family
+    downward, each step k = 2k' contributes -2k', and the exponent of the
+    unit with index p-2k'-1 must be -k'(k'+1).  Odd chain: from the
+    index-1 unit upward, each step contributes 2k'+1, and the exponent of
+    the unit with index p-2k' must be 1/4 - k'^2.  The minus-family
     analogue steps by the index flip unit(p-a) = -unit(a), contributing
     symbol(-1) = 0, so its exponents all collapse.
     """
     p = ctx.p
     half = (p - 3) // 2
     inv4 = ctx.inv2 * ctx.inv2 % p
-    even: dict[int, int] = {}
-    acc = 0
+    even = odd = 0
     for kp in range(1, half + 1):
-        acc = (acc - 2 * kp) % p
-        even[kp] = acc
-    odd: dict[int, int] = {}
-    acc = 0
+        even = (even - 2 * kp) % p
+        if even != -kp * (kp + 1) % p:
+            return False
     for kp in range(half, 0, -1):
-        acc = (acc + 2 * kp + 1) % p
-        odd[kp] = acc
-    closed_even = {kp: (-kp * (kp + 1)) % p for kp in range(1, half + 1)}
-    closed_odd = {kp: (inv4 - kp * kp) % p for kp in range(1, half + 1)}
-    match = even == closed_even and odd == closed_odd
-    return TelescopeReport(
-        p=p,
-        even_chain=even,
-        odd_chain=odd,
-        closed_even=closed_even,
-        closed_odd=closed_odd,
-        match=match,
-        minus_chain_zero=_replay_minus_chains(p),
-    )
+        odd = (odd + 2 * kp + 1) % p
+        if odd != (inv4 - kp * kp) % p:
+            return False
+    return _replay_minus_chains(p)
 
 
 def _replay_minus_chains(p: int) -> bool:
@@ -429,15 +401,7 @@ class BarlowCheck(NamedTuple):
     detail: str
 
 
-class BarlowAbelReport(NamedTuple):
-    p: int
-    x: int
-    y: int
-    z: int
-    checks: tuple[BarlowCheck, ...]
-
-
-def barlow_abel_check(p: int, x: int, y: int, z: int) -> BarlowAbelReport:
+def barlow_abel_check(p: int, x: int, y: int, z: int) -> tuple[BarlowCheck, ...]:
     """Evaluate the classical Barlow-Abel relation formats exactly.
 
     No genuine integer solution of x^p + y^p + z^p = 0 exists, so this
@@ -477,58 +441,27 @@ def barlow_abel_check(p: int, x: int, y: int, z: int) -> BarlowAbelReport:
     checks.append(
         BarlowCheck("x^p + y^p + z^p = 0", total == 0, f"sum = {int_to_decimal(total)}")
     )
-    return BarlowAbelReport(p=p, x=x, y=y, z=z, checks=tuple(checks))
+    return tuple(checks)
 
 
-class FurtwanglerReport(NamedTuple):
-    """Congruence/symbol bookkeeping on one record.
+def furtwangler_report(rec: ScanRecord) -> bool:
+    """Whether the record's display holds: on plus scans, whether sym(p)
+    equals every sym(1 - zeta^j); on minus scans, whether every
+    sym(1 + zeta^j) is trivial (j = 1..p-1).
 
-    ``consistency_ok`` asserts that the record's "zeta" entry is 0 iff
-    p^2 | q-1; ``zeta_exp`` is the zeta symbol computed at the ideal.  The
-    ``display_holds`` flag reports (never asserts) the conditional
-    displays: on plus scans, whether sym(p) equals every sym(1-zeta^j);
-    on minus scans, whether every sym(1+zeta^j) is trivial.  ``p_exp``
-    is the symbol of p at the record's degree-1 ideal, read from the
-    residue p in F_q, as are the family's symbols, from 1 -+ w^j.
-    """
-
-    q: int
-    p2_divides: bool
-    zeta_exp: int
-    p_exp: int
-    family: str
-    consistency_ok: bool
-    display_holds: bool
-
-
-def furtwangler_report(rec: ScanRecord) -> FurtwanglerReport:
-    """Evaluate the Furtwangler family 1 -+ zeta^j (j = 1..p-1) and p at w.
-
-    The record's ideal has degree 1, so each element's residue is the
-    F_q scalar 1 -+ w^j (or p) and its symbol one power map away.  None
-    of them vanishes: w has order p, so w^j is neither 1 nor -1.  The
-    family's symbols are computed only until the display is decided.
+    Reported, never asserted.  The record's ideal has degree 1, so each
+    element's residue is the F_q scalar 1 -+ w^j (or p) and its symbol
+    one power map away.  None of them vanishes: w has order p, so w^j is
+    neither 1 nor -1.  The family's symbols are computed only until the
+    display is decided.
     """
     ideal = rec.ideal
-    p, q = ideal.ctx.p, ideal.q
-    p2 = (q - 1) % (p * p) == 0
-    p_exp = residue_symbol(ideal, p % q)
+    q = ideal.q
     roots = ideal.w_powers[1:]
     if rec.sign == PLUS:
-        family = "1-zeta^j"
-        display = all(residue_symbol(ideal, (1 - w) % q) == p_exp for w in roots)
-    else:
-        family = "1+zeta^j"
-        display = not any(residue_symbol(ideal, (1 + w) % q) for w in roots)
-    return FurtwanglerReport(
-        q=rec.q,
-        p2_divides=p2,
-        zeta_exp=zeta_symbol(ideal),
-        p_exp=p_exp,
-        family=family,
-        consistency_ok=(rec.symbols["zeta"] == 0) == p2,
-        display_holds=display,
-    )
+        p_exp = residue_symbol(ideal, rec.p % q)
+        return all(residue_symbol(ideal, (1 - w) % q) == p_exp for w in roots)
+    return not any(residue_symbol(ideal, (1 + w) % q) for w in roots)
 
 
 # ----------------------------------------------------------------------
@@ -641,9 +574,10 @@ def verify_lines(entries: Iterable[ScanRecord | int]) -> Iterator[dict]:
             continue
         congruence_failures = verify_congruences(entry)
         identity_failures = verify_symbol_identities(entry)
-        furt = furtwangler_report(entry)
+        p2 = (entry.q - 1) % (entry.p * entry.p) == 0
+        zeta_ok = (entry.symbols["zeta"] == 0) == p2  # Furtwangler's first theorem
         records += 1
-        failures += bool(congruence_failures or identity_failures or not furt.consistency_ok)
+        failures += bool(congruence_failures or identity_failures or not zeta_ok)
         yield {
             "q": entry.q,
             "x": int_to_json(entry.x),
@@ -655,9 +589,9 @@ def verify_lines(entries: Iterable[ScanRecord | int]) -> Iterator[dict]:
             "symbol_identity_failures": identity_failures,
             "skipped": [],
             "specialization_triggered": entry.symbols["x+y"] == 0 and entry.symbols["zeta"] == 0,
-            "zeta_consistency_ok": furt.consistency_ok,
-            "p2_divides_q_minus_1": furt.p2_divides,
-            "display_holds": furt.display_holds,
+            "zeta_consistency_ok": zeta_ok,
+            "p2_divides_q_minus_1": p2,
+            "display_holds": furtwangler_report(entry),
             "conjugate_symmetric": conjugate_symmetry_report(entry),
         }
     yield {"records": records, "failures": failures}

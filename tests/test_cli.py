@@ -310,7 +310,8 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
     ["scan", "--p", 1009, "--x", int_to_decimal(10**1000), "--y", 1, "--sign", "plus"],
     ["barlow", "--p", 1048573, "--x", 3, "--y", 5, "--z", 7],
     ["scan", "--p", 1009, "--x", 3, "--y", 1, "--sign", "plus", "--trial-bound", 1 << 40],
-    ["scan", "--p", 5, "--x", int_to_decimal((1 << 52427) + 1), "--y", 1, "--sign", "plus"],
+    ["scan", "--p", 5, "--x", int_to_decimal((1 << 52427) + 1), "--y", 1, "--sign", "plus",
+     "--trial-bound", 3_000_000],
 ], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
         "vandiver-p-over-ceiling", "hminus-p-over-ceiling", "split-p3", "split-q-over-64-bits",
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
@@ -330,7 +331,7 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
         "barlow-p65537-x-301-digits-over-power-ceiling",
         "scan-p1009-x-1001-digits-over-power-ceiling", "barlow-p1048573-over-power-ceiling",
         "scan-p1009-trial-bound-2-40-over-work-ceiling",
-        "scan-p5-x-52428-bits-default-trial-bound-over-work-ceiling"])
+        "scan-p5-x-52428-bits-trial-bound-3e6-over-work-ceiling"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
     # the message stays short however long the input: it never echoes a
     # value; and a request past a ceiling is refused before the work

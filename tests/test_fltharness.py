@@ -218,40 +218,31 @@ def test_verify_lines_zeta_consistency_alone_fails_a_record():
         assert line["congruences_ok"] and line["symbol_identities_ok"]
         assert line["zeta_consistency_ok"] is False
         assert summary == {"records": 1, "failures": 1}
-        assert furtwangler_report(tampered).zeta_exp == rec.symbols["zeta"]
+        # p^2 | q-1 is read off q, not off the tampered table
+        assert line["p2_divides_q_minus_1"] is (rec.q == 101)
 
 
 def test_telescope_micro_values():
-    rep = telescope_replay(CTX5)
-    assert rep.even_chain == {1: 3}  # -1*2 mod 5
-    assert rep.closed_even == {1: 3}
-    assert rep.match and rep.minus_chain_zero
-
-    rep7 = telescope_replay(CTX7)
-    # k' = 1: odd chain exponent = inv4 - 1 = 2 - 1 = 1 mod 7
-    assert rep7.odd_chain[1] == 1
-    assert rep7.even_chain == {1: 5, 2: 1}
-    assert rep7.match and rep7.minus_chain_zero
+    # p = 5: the even chain is -1*2 = 3 = -1*(1+1) mod 5; p = 7: the odd
+    # chain's k' = 1 exponent is 2*2 + 1 + 2*1 + 1 = 8 = 1 = 1/4 - 1 mod 7
+    assert telescope_replay(CTX5) is True
+    assert telescope_replay(CTX7) is True
 
 
 def test_telescope_all_small_primes():
     for p in (5, 7, 11, 13, 17, 19, 23):
-        rep = telescope_replay(field_ctx(p))
-        assert rep.match and rep.minus_chain_zero, p
+        assert telescope_replay(field_ctx(p)) is True, p
 
 
 def test_barlow_abel_examples():
-    rep = barlow_abel_check(5, 31, 1, -2)
-    checks = {c.name: c for c in rep.checks}
+    checks = {c.name: c for c in barlow_abel_check(5, 31, 1, -2)}
     assert checks["x+y is a p-th power"].holds  # 32 = 2^5
     assert "2" in checks["x+y is a p-th power"].detail
 
-    rep = barlow_abel_check(5, 2, 3, -4)
-    checks = {c.name: c for c in rep.checks}
+    checks = {c.name: c for c in barlow_abel_check(5, 2, 3, -4)}
     assert not checks["x^p + y^p + z^p = 0"].holds
 
-    rep = barlow_abel_check(5, 623, 10, 2)
-    checks = {c.name: c for c in rep.checks}
+    checks = {c.name: c for c in barlow_abel_check(5, 623, 10, 2)}
     key = "x+z = 5^(nu*p-1) * (p-th power)"
     assert checks[key].holds  # 625 = 5^4, nu = 1, root 1
     assert "nu = 1" in checks[key].detail
@@ -259,8 +250,7 @@ def test_barlow_abel_examples():
 
 
 def test_barlow_abel_edge_cases():
-    rep = barlow_abel_check(5, 2, 3, -2)
-    checks = {c.name: c for c in rep.checks}
+    checks = {c.name: c for c in barlow_abel_check(5, 2, 3, -2)}
     assert not checks["x+z = 5^(nu*p-1) * (p-th power)"].holds  # x+z = 0
     with pytest.raises(ValueError):
         barlow_abel_check(4, 1, 2, 3)
@@ -274,7 +264,7 @@ def test_power_size_ceiling():
     x = (1 << (bits - 1)) + (2 - (1 << (bits - 1))) % 11  # 2 mod 11 keeps q = 11
     assert x.bit_length() == bits
     assert [rec.q for rec in scan(CTX5, x, 1, PLUS, 20)] == [11]
-    assert len(barlow_abel_check(5, -x, 1, x).checks) == 5
+    assert len(barlow_abel_check(5, -x, 1, x)) == 5
     big = 1 << bits  # one bit more
     for ctx, x, y in ((CTX5, big, 1), (CTX5, 1, -big), (CTX7, 3, 1 << (POWER_BITS_MAX // 7))):
         with pytest.raises(ValueError, match="POWER_BITS_MAX"):
@@ -294,25 +284,26 @@ def test_trial_work_ceiling():
         _check_trial_work(p, 2 * p * steps, bits)
     with pytest.raises(ValueError, match="TRIAL_WORK_MAX"):
         scan(field_ctx(p), 3, 1, PLUS, 1 << 40)
+    # p = 5, a 52 428-bit x at the default bound 10^6: 1.53 * 2^34, admitted
+    _check_trial_work(5, 10**6, 52428)
+    with pytest.raises(ValueError, match="TRIAL_WORK_MAX"):
+        _check_trial_work(5, 3 * 10**6, 52428)
     # (2^5 + 1)/3 = 11: its square root, not the bound, ends the loop
     assert [rec.q for rec in scan(CTX5, 2, 1, PLUS, 1 << 40)] == [11]
 
 
 def test_furtwangler_report_micro():
-    rec11 = scan(CTX5, 2, 1, PLUS, 10**6)[0]
-    rep = furtwangler_report(rec11)
-    assert not rep.p2_divides and rep.zeta_exp == 2 and rep.consistency_ok
-    assert rep.family == "1-zeta^j"
-
-    recs = scan(CTX5, 6, 1, PLUS, 10**6)
-    by_q = {r.q: r for r in recs}
-    rep101 = furtwangler_report(by_q[101])
-    assert rep101.p2_divides and rep101.zeta_exp == 0 and rep101.consistency_ok
-
-    rec31 = scan(CTX5, 2, 1, MINUS, 10**6)[0]
-    repm = furtwangler_report(rec31)
-    assert repm.family == "1+zeta^j"
-    assert isinstance(repm.display_holds, bool)
+    # N = (6^5 + 1)/7 = 11 * 101: 25 divides 100, not 10
+    by_q = {rec.q: rec for rec in scan(CTX5, 6, 1, PLUS, 10**6)}
+    assert sorted(by_q) == [11, 101]
+    for q, p2 in ((11, False), (101, True)):
+        line, _ = verify_lines([by_q[q]])
+        assert line["p2_divides_q_minus_1"] is p2
+        assert line["zeta_consistency_ok"] is True
+        assert (by_q[q].symbols["zeta"] == 0) is p2
+        assert furtwangler_report(by_q[q]) is line["display_holds"]
+    assert furtwangler_report(scan(CTX5, 2, 1, PLUS, 10**6)[0]) is False
+    assert furtwangler_report(scan(CTX5, 2, 1, MINUS, 10**6)[0]) is False
 
 
 # (p, x, y, sign) whose scans carry at least one record under trial bound 10^5
@@ -324,11 +315,11 @@ FURTWANGLER_SCANS = [
 
 
 def _dense_furtwangler(rec):
-    # sym(p) and the display, from dense symbols of p and of every 1 -+ zeta^j
+    # the display, from dense symbols of p and of every 1 -+ zeta^j
     ctx, p = rec.ideal.ctx, rec.p
     family = [symbol(cyc_new(ctx, [(0, 1), (j, -rec.sign)]), rec.ideal) for j in range(1, p)]
     p_exp = symbol(cyc_int(ctx, p), rec.ideal)
-    return p_exp, all(e == p_exp for e in family) if rec.sign == PLUS else not any(family)
+    return all(e == p_exp for e in family) if rec.sign == PLUS else not any(family)
 
 
 @pytest.mark.parametrize("p, x, y, sign", FURTWANGLER_SCANS)
@@ -336,11 +327,11 @@ def test_furtwangler_report_matches_dense_oracle(p, x, y, sign):
     ctx = field_ctx(p)
     records = scan(ctx, x, y, sign, 10**5)
     assert len(records) >= 1
-    for rec in records:
-        rep = furtwangler_report(rec)
-        assert rep.family == ("1-zeta^j" if sign == PLUS else "1+zeta^j")
-        assert (rep.p_exp, rep.display_holds) == _dense_furtwangler(rec)
-        assert rep.zeta_exp == zeta_symbol(rec.ideal)
+    for rec, line in zip(records, verify_lines(records)):
+        assert furtwangler_report(rec) is _dense_furtwangler(rec)
+        # p^2 | q-1 exactly where the zeta symbol, recomputed, is trivial
+        assert line["p2_divides_q_minus_1"] is (zeta_symbol(rec.ideal) == 0)
+        assert line["zeta_consistency_ok"] is True
 
 
 # the display holds on the first two records, and fails on the last two
@@ -350,9 +341,8 @@ def test_furtwangler_report_matches_dense_oracle(p, x, y, sign):
 ])
 def test_furtwangler_display_holds_either_way(x, y, sign, q, holds):
     rec = {rec.q: rec for rec in scan(CTX5, x, y, sign, 10**6)}[q]
-    rep = furtwangler_report(rec)
-    assert rep.display_holds is holds
-    assert (rep.p_exp, holds) == _dense_furtwangler(rec)
+    assert furtwangler_report(rec) is holds
+    assert _dense_furtwangler(rec) is holds
 
 
 def test_record_json_round_trip():
