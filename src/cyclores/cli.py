@@ -57,7 +57,7 @@ from .fltharness import (
 )
 from .ntheory import is_prime
 from .powsym import symbol
-from .regulab import h_minus, irregular_pairs, vandiver_witness
+from .regulab import HMINUS_P_MAX, h_minus, irregular_pairs, vandiver_witness
 from .resfield import ideal_from_modulus, ideal_from_root, ideal_to_json, split_prime
 
 __all__ = ["run", "main", "UsageError", "UNITS_P_MAX", "TELESCOPE_P_MAX", "HMINUS_P_MAX"]
@@ -66,11 +66,10 @@ __all__ = ["run", "main", "UsageError", "UNITS_P_MAX", "TELESCOPE_P_MAX", "HMINU
 # outgrows cycint.P_MAX.  units --p makes about 4p products in Z[zeta]
 # and prints about 2p^2 numbers: p = 1021 takes 3.1 s on a 2-core x86-64
 # machine (CPython 3.11).  telescope --pmax replays O(p) steps for each
-# prime up to pmax: 11 s at pmax = 16384 there.  hminus --p grows like
-# p^2.5 to p^3: 0.11 s at p = 1009, 0.95 s at 2039, 6.7 s at 4093 there.
+# prime up to pmax: 11 s at pmax = 16384 there.  hminus --p takes its
+# ceiling, regulab.HMINUS_P_MAX, from the library.
 UNITS_P_MAX = 1 << 10
 TELESCOPE_P_MAX = 1 << 14
-HMINUS_P_MAX = 1 << 12
 
 
 class UsageError(Exception):

@@ -279,6 +279,8 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
     ["units", "--p", 1031],
     ["telescope", "--pmax", 1 << 14],
     ["hminus", "--p", 4099],
+    ["vandiver", "--p", 262139, "--k", 1],
+    ["vandiver", "--p", 65537, "--k", 2, "--candidates", 0],
     SYMBOL5 + ["--alpha", "5"],
     SYMBOL5 + ["--alpha", "[null,1,2,3]"],
     SYMBOL5 + ["--alpha", "[[1],1,2,3]"],
@@ -318,7 +320,8 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
         "telescope-pmax4", "barlow-p4", "scan-p-over-ceiling", "units-p-over-ceiling",
         "split-p-over-ceiling", "barlow-p-over-ceiling", "telescope-pmax-over-ceiling",
         "units-p-over-units-ceiling", "telescope-pmax-over-telescope-ceiling",
-        "hminus-p-over-hminus-ceiling",
+        "hminus-p-over-hminus-ceiling", "vandiver-p262139-k1-odd",
+        "vandiver-p65537-candidates-0",
         "alpha-int", "alpha-null", "alpha-list",
         "alpha-float", "alpha-bool", "alpha-string", "alpha-nested-too-deep",
         "symbol-q-psi12", "symbol-q-psi13", "split-q-4401-digits", "split-q-not-a-number",
@@ -591,6 +594,7 @@ GOLDEN = [
     (["hminus", "--p", 37], "ee2511bf534f5f08a0864b57f920bfefdff458567a54968c415742aef279f381"),
     (["hminus", "--p", 59], "9b5d75af8f71138ee7e8d584743f291c1c2074b477415c9127bbbed80fd26748"),
     (["hminus", "--p", 101], "ac145c3f9dd413046f3706083a4164c6eabebb1a1e7c42e68f9a5956ac281182"),
+    (["hminus", "--p", 1021], "c6d45ea40284185ed360b257869f3e23a156535a560b78a764e751c1608b39d0"),
     (["vandiver", "--p", 37, "--k", 32], "df515b02b3b6cea5a13a645c5ee882b628d5ebd73653b21de03510f6ad2c45c8"),
     (["telescope", "--pmax", 50], "2ac1374ce3215e0c658958b0f3ccabe21b1597110839854ca7ca752b93664abe"),
     (["barlow", "--p", 3, "--x", 1, "--y", 7, "--z", 8],

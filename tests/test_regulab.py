@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 import pytest
 
-from cyclores import regulab
+from cyclores import cycint, regulab
 from cyclores.cycint import InternalError, cyc_mul, cyc_one, field_ctx, galois, kronecker_mul
 from cyclores.cycunits import unit_minus
 from cyclores.ntheory import factorize, is_prime, primes_upto, primitive_root
@@ -128,6 +129,12 @@ def odd_character_coeffs(p):
     return [2 * pow(g, t, p) - p for t in range((p - 1) // 2)]
 
 
+def parseval_bound(p):
+    """S^m // (2p)^(2m-2), S = sum_t c_t^2: h_minus's bound on (h^-)^2."""
+    m = (p - 1) // 2
+    return sum(c * c for c in odd_character_coeffs(p)) ** m // (2 * p) ** (2 * m - 2)
+
+
 def h_minus_full_product(p):
     """h^- by rebuilding P = prod_{j odd} G(omega^j) itself: CRT against
     the bound 2 (sum |c_t|)^m on |P|, then exact division by (2p)^m."""
@@ -207,7 +214,9 @@ def test_irregular_pairs_match_newton_bernoulli():
         assert [pair.k for pair in irregular_pairs(p)] == expected, p
 
 
-@pytest.mark.parametrize("ell", [37, 4611686018427387847])  # (1 << 62) - 57
+# (1 << 62) - 57, above every word prime; 715827817, the first word prime
+# of h_minus(37), at the edge of the 8-byte digits: 18 (l-1)^2 < 2^63
+@pytest.mark.parametrize("ell", [37, 4611686018427387847, 715827817])
 def test_odd_transform_matches_direct_sum(ell):
     rng = random.Random(ell)
     for n in (1, 2, 7, 18):
@@ -264,7 +273,7 @@ def test_h_minus_matches_oeis_a000927():
 
 
 def test_h_minus_mod_direct_character_product():
-    # the library combines residues modulo primes below 2^62; these
+    # the library combines residues modulo primes below 2^32; these
     # check primes lie above 2^62, so the comparison shares none of them
     for p in (5, 29, 67, 101, 157, 211, 257, 293):
         h = h_minus(p)
@@ -279,9 +288,63 @@ def test_h_minus_matches_full_product_reconstruction():
 
 def test_h_minus_within_parseval_bound():
     for p in primes_upto(467)[1:]:
-        m = (p - 1) // 2
-        s = sum(c * c for c in odd_character_coeffs(p))
-        assert h_minus(p) ** 2 <= s**m // (2 * p) ** (2 * m - 2), p
+        assert h_minus(p) ** 2 <= parseval_bound(p), p
+
+
+def test_h_minus_packs_word_digits(monkeypatch):
+    # the word primes keep every digit of every transform's packed
+    # product within 8 bytes, the struct path of cycint._pack
+    widths = []
+    real = cycint._pack
+
+    def spy(digits, nb):
+        widths.append(nb)
+        return real(digits, nb)
+
+    monkeypatch.setattr(cycint, "_pack", spy)
+    for p in primes_upto(500)[1:] + (1021,):
+        widths.clear()
+        h_minus(p)
+        assert widths and max(widths) <= 8, p
+
+
+@pytest.mark.parametrize("p", [4093, 4091, 4079])  # the largest below HMINUS_P_MAX
+def test_h_minus_word_primes_cover_the_bound(p):
+    n = p - 1
+    m = n // 2
+    bound = parseval_bound(p)
+    ells = regulab._word_primes(n)
+    modulus = 1
+    while modulus * modulus <= bound:
+        ell = next(ells)
+        assert ell % n == 1 and ell * ell * m < 1 << 63 and is_prime(ell)
+        modulus *= ell
+    assert next(ells) < ell  # the spare
+
+
+def test_word_primes_run_out_with_internal_error():
+    # at p = 16381, past HMINUS_P_MAX, the 572 word primes fall short of
+    # the bound
+    p = 16381
+    n, m = p - 1, (p - 1) // 2
+    ells = []
+    with pytest.raises(InternalError):
+        for ell in regulab._word_primes(n):
+            ells.append(ell)
+    assert len(ells) == 572
+    assert ells == sorted(ells, reverse=True) and ells[-1] > n
+    assert all(ell % n == 1 and ell * ell * m < 1 << 63 for ell in ells)
+    assert prod(ells) ** 2 <= parseval_bound(p)
+
+
+def test_h_minus_refused_at_its_ceiling_before_any_table(monkeypatch):
+    def no_table(p):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(regulab, "primitive_root", no_table)
+    for p in (regulab.HMINUS_P_MAX + 3, 16381, 1048573):
+        with pytest.raises(ValueError):
+            h_minus(p)
 
 
 @pytest.mark.parametrize("wrong_call", ["first", "spare"])
@@ -328,6 +391,16 @@ def test_vandiver_witness_preconditions():
         vandiver_witness(37, 30, 5)  # (37, 30) is not irregular
     with pytest.raises(ValueError):
         vandiver_witness(37, 32, 0)
+
+
+@pytest.mark.parametrize("k, candidates", [(1, 10), (36, 10), (32, 0)])
+def test_vandiver_witness_cheap_checks_come_first(monkeypatch, k, candidates):
+    def no_pairs(p):
+        raise AssertionError("irregular_pairs was called")
+
+    monkeypatch.setattr(regulab, "irregular_pairs", no_pairs)
+    with pytest.raises(ValueError):
+        vandiver_witness(37, k, candidates)
 
 
 def test_vandiver_witness_reverifies_independently():
