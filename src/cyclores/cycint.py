@@ -15,9 +15,12 @@ substitution: each vector is packed into one big integer, one digit of
 1, 2, 4 or 8 bytes (or more, past 8) per coefficient, the two integers
 are multiplied, and the product is read back digit by digit.  Packing
 and unpacking are linear in the length, so the big-integer multiply
-dominates.
+dominates.  Digits are signed, in two's complement, unless neither
+operand has a negative coefficient; then they are unsigned, and the
+borrows of packing and the offset of unpacking are skipped.
 ``kronecker_mul`` is the one packed product of the package, over F_p in
-``regulab`` and F_q in ``resfield`` too.  All values are immutable.
+``regulab`` and F_q in ``resfield`` too, whose residues and chirps are
+nonnegative, so unsigned.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -251,7 +254,8 @@ def cyc_sub(a: CycInt, b: CycInt) -> CycInt:
     return CycInt(a.ctx, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-# struct format codes of the signed little-endian integers of nb bytes
+# struct format codes of the little-endian integers of nb bytes: signed
+# here, unsigned in upper case
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -260,44 +264,51 @@ def _ones(nb: int, count: int) -> int:
     return int.from_bytes(b"\1".ljust(nb, b"\0") * count, "little")
 
 
-def _pack(digits: Sequence[int], nb: int) -> int:
-    """sum_i digits[i] * 2^(8*nb*i) for signed digits of size below 2^(8nb-1).
+def _pack(digits: Sequence[int], nb: int, signed: bool = True) -> int:
+    """sum_i digits[i] * 2^(8*nb*i) for digits of size below 2^(8nb-1).
 
-    The digits are written as nb-byte two's complement and read back as
-    one unsigned integer u; a negative digit borrows 2^(8nb) from the
-    next one, and the borrows, marked by the digits' sign bits, are
-    taken off at once.
+    The digits are written as nb-byte integers and read back as one
+    unsigned integer u.  Unsigned digits (signed false, every digit
+    nonnegative) give the sum at once.  Signed ones are written in two's
+    complement: a negative digit borrows 2^(8nb) from the next one, and
+    the borrows, marked by the digits' sign bits, are taken off at once.
     """
     n = len(digits)
     code = _STRUCT_CODES.get(nb)
     if code:
-        raw = struct.pack(f"<{n}{code}", *digits)
+        raw = struct.pack(f"<{n}{code if signed else code.upper()}", *digits)
     else:
-        raw = b"".join(d.to_bytes(nb, "little", signed=True) for d in digits)
+        raw = b"".join(d.to_bytes(nb, "little", signed=signed) for d in digits)
     u = int.from_bytes(raw, "little")
+    if not signed:
+        return u
     w = 8 * nb
     return u - (((u >> (w - 1)) & _ones(nb, n)) << w)
 
 
-def _unpack(value: int, nb: int, count: int, lo: int, hi: int) -> list[int]:
-    """Digits lo..hi-1 of value written as count signed digits of nb bytes.
+def _unpack(value: int, nb: int, count: int, lo: int, hi: int,
+            signed: bool = True) -> list[int]:
+    """Digits lo..hi-1 of value written as count digits of nb bytes,
+    signed, or unsigned if signed is false.
 
-    Adding 2^(8nb-1) to every digit makes them all nonnegative without a
-    carry, and the xor takes it off again in two's complement, so one
-    to_bytes call splits the whole value.  A value that has no such
-    digits raises InternalError.
+    Adding 2^(8nb-1) to every signed digit makes them all nonnegative
+    without a carry, and the xor takes it off again in two's complement,
+    so one to_bytes call splits the whole value; unsigned digits need
+    no offset.  A value that has no such digits raises InternalError.
     """
-    offset = _ones(nb, count) << (8 * nb - 1)
+    if signed:
+        offset = _ones(nb, count) << (8 * nb - 1)
+        value = (value + offset) ^ offset
     try:
-        raw = ((value + offset) ^ offset).to_bytes(nb * count, "little")
+        raw = value.to_bytes(nb * count, "little")
     except OverflowError:
         raise InternalError("kronecker unpack: a digit overflows its width") from None
     k = hi - lo
     code = _STRUCT_CODES.get(nb)
     if code:
-        return list(struct.unpack_from(f"<{k}{code}", raw, nb * lo))
+        return list(struct.unpack_from(f"<{k}{code if signed else code.upper()}", raw, nb * lo))
     return [
-        int.from_bytes(raw[i : i + nb], "little", signed=True)
+        int.from_bytes(raw[i : i + nb], "little", signed=signed)
         for i in range(nb * lo, nb * hi, nb)
     ]
 
@@ -305,19 +316,26 @@ def _unpack(value: int, nb: int, count: int, lo: int, hi: int) -> list[int]:
 def kronecker_mul(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]:
     """Coefficients lo..hi-1 of the product of two integer polynomials.
 
-    a and b are coefficient lists, lowest power first, either may be
-    empty.  With |a| the largest size in a, every coefficient of a, b
-    and a*b is at most bound = max(|a| |b| min(len a, len b), |a|, |b|)
-    in size; a digit holds +-bound in bound.bit_length() // 8 + 1 bytes,
-    rounded up to 1, 2, 4 or 8 bytes where that is at most 8.
+    a and b are coefficient lists, lowest power first; an empty one is
+    the zero polynomial.  With |a| the largest size in a, every
+    coefficient of a, b and a*b is at most
+    bound = max(|a| |b| min(len a, len b), |a|, |b|) in size; a digit
+    holds +-bound in bound.bit_length() // 8 + 1 bytes, rounded up to 1,
+    2, 4 or 8 bytes where that is at most 8.  When neither operand has a
+    negative coefficient, nor has the product, and its digits are packed
+    and read unsigned.
     """
-    amax = max(map(abs, a), default=0)
-    bmax = max(map(abs, b), default=0)
+    if not (a and b):
+        return [0] * (hi - lo)
+    alo, blo = min(a), min(b)
+    amax, bmax = max(max(a), -alo), max(max(b), -blo)
     bound = max(amax * bmax * min(len(a), len(b)), amax, bmax)
     nb = bound.bit_length() // 8 + 1
     if nb <= 8:
         nb = 1 << (nb - 1).bit_length()
-    return _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1, lo, hi)
+    signed = alo < 0 or blo < 0
+    product = _pack(a, nb, signed) * _pack(b, nb, signed)
+    return _unpack(product, nb, len(a) + len(b) - 1, lo, hi, signed)
 
 
 def cyc_mul(a: CycInt, b: CycInt) -> CycInt:

@@ -19,7 +19,10 @@ record builder, the reader and the checks share them.
 A scan writes JSON lines of two kinds, and ``line_from_json`` reads both
 back: one record per located q (``record_to_json``), then, when a
 cofactor is left unfactored, one partial line (``partial_to_json``)
-holding ``"partial": true``, p, x, y, the sign and the cofactor.
+holding ``"partial": true``, p, x, y, the sign and the cofactor.  The
+reader recomputes N from p, x, y and the sign (``_quotient``, once per
+scan): a record's "N" must be it, and a partial line's cofactor must
+divide it.
 
 ``verify_lines`` writes the lines ``verify`` prints for them.  A
 record's line holds its "q", "x", "y" and "sign", then:
@@ -147,6 +150,21 @@ def _check_power_size(p: int, *bases: int) -> None:
         raise ValueError(f"p={p} with {bits}-bit bases: p * bits is past POWER_BITS_MAX")
 
 
+@lru_cache(maxsize=16)
+def _quotient(p: int, x: int, y: int, sign: int) -> int:
+    """N = (x^p + sign*y^p)/(x + sign*y) for nonzero coprime x, y with
+    x + sign*y != 0, once per (p, x, y, sign) for a scan and its lines.
+    The power's size is checked first, before any gcd or power."""
+    _check_power_size(p, x, y)
+    if x == 0 or y == 0:
+        raise ValueError("x and y must be nonzero")
+    if gcd(x, y) != 1:
+        raise ValueError("x and y must be coprime")
+    if x + sign * y == 0:
+        raise ValueError("x + sign*y = 0: quotient undefined")
+    return (x**p + sign * y**p) // (x + sign * y)
+
+
 def _check_trial_work(p: int, trial_bound: int, bits: int) -> None:
     reach = min(trial_bound, 1 << (p * bits // 2 + 1))
     if reach // (2 * p) * (p * bits + 512) >= TRIAL_WORK_MAX:
@@ -250,17 +268,10 @@ def scan(ctx: FieldCtx, x: int, y: int, sign: int, trial_bound: int) -> ScanResu
     p = ctx.p
     if sign not in (PLUS, MINUS):
         raise ValueError("sign must be +1 or -1")
-    if x == 0 or y == 0:
-        raise ValueError("x and y must be nonzero")
-    if gcd(x, y) != 1:
-        raise ValueError("x and y must be coprime")
-    if x + sign * y == 0:
-        raise ValueError("x + sign*y = 0: quotient undefined")
     if not 2 <= trial_bound <= 1 << 40:
         raise ValueError("trial_bound must be in [2, 2^40]")
-    _check_power_size(p, x, y)
+    n_value = _quotient(p, x, y, sign)
     _check_trial_work(p, trial_bound, max(x.bit_length(), y.bit_length()))
-    n_value = (x**p + sign * y**p) // (x + sign * y)
     if n_value == 1:
         raise ValueError("nothing to scan: the quotient is 1")
     if n_value <= 0:
@@ -485,7 +496,9 @@ def record_from_json(data: dict) -> ScanRecord:
     """Rebuild and re-validate a scan record from its JSON form.
 
     Every integer field is read by ``int_from_json``, so a null, bool,
-    float or non-decimal value is a ValueError.  The redundant fields
+    float or non-decimal value is a ValueError.  N must be the quotient
+    (x^p + s y^p)/(x + s y) of x, y and the sign, which ``_quotient``
+    recomputes under ``POWER_BITS_MAX``.  The redundant fields
     (``q_mod_p2``, the ideal's ``q`` and ``modulus``) must agree with q
     and w, and every symbol entry must be an exponent in [0, p).
     """
@@ -494,6 +507,8 @@ def record_from_json(data: dict) -> ScanRecord:
     x, y = int_from_json(data["x"]), int_from_json(data["y"])
     sign = _SIGN_VALUE[data["sign"]]
     n_value = int_from_json(data["N"])
+    if n_value != _quotient(p, x, y, sign):
+        raise ValueError("N is not (x^p + s y^p)/(x + s y)")
     q = int_from_json(data["q"])
     ideal_data = data["ideal"]
     if int_from_json(ideal_data["f"]) != 1:
@@ -541,8 +556,8 @@ def partial_to_json(p: int, x: int, y: int, sign: int, cofactor: int) -> dict:
 def line_from_json(data: object) -> ScanRecord | int:
     """One scan line: a record, or the cofactor of a partial line.  In a
     partial line "partial" must be true, p a prime ``field_ctx`` accepts,
-    x and y nonzero integers, the sign "plus" or "minus" and the cofactor
-    an integer above 1."""
+    x and y nonzero coprime integers, the sign "plus" or "minus" and the
+    cofactor an integer above 1 that divides N, as ``_quotient`` has it."""
     if not isinstance(data, dict):
         raise TypeError("a scan line must be a JSON object")
     if "partial" not in data:
@@ -551,12 +566,15 @@ def line_from_json(data: object) -> ScanRecord | int:
         raise ValueError('a partial line must hold "partial": true')
     if data["sign"] not in _SIGN_VALUE:
         raise ValueError("the sign must be plus or minus")
-    field_ctx(int_from_json(data["p"]))
-    if 0 in (int_from_json(data["x"]), int_from_json(data["y"])):
-        raise ValueError("x and y must be nonzero")
+    p = int_from_json(data["p"])
+    field_ctx(p)
+    x, y = int_from_json(data["x"]), int_from_json(data["y"])
+    n_value = _quotient(p, x, y, _SIGN_VALUE[data["sign"]])
     cofactor = int_from_json(data["unfactored_cofactor"])
     if cofactor <= 1:
         raise ValueError("the unfactored cofactor must be above 1")
+    if n_value % cofactor:
+        raise ValueError("the unfactored cofactor does not divide N")
     return cofactor
 
 

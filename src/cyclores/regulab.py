@@ -9,7 +9,8 @@ one chirp-z transform, ``_odd_transform``.
 
 Every function taking a prime p accepts only odd primes p < P_MAX = 2^20
 (``cycint.check_p``) and raises ValueError otherwise, before it builds
-any table of about p entries; ``h_minus`` also needs p < HMINUS_P_MAX.
+any table of about p entries.  ``h_minus`` also needs p < HMINUS_P_MAX,
+and ``irregular_pairs``, so ``vandiver_witness`` too, p < IRREGULAR_P_MAX.
 
 A word prime of h^- at p = 2m + 1 is a prime l = 1 (mod p-1) with
 l^2 m < 2^63.  Every convolution digit of its transform, a sum of at
@@ -37,6 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "HMINUS_P_MAX",
+    "IRREGULAR_P_MAX",
     "IrregularPair",
     "VandiverWitness",
     "bernoulli",
@@ -54,6 +56,13 @@ __all__ = [
 # p^2.5 to p^3: 0.07 s at p = 1009, 0.4 s at 2039 and 2.8 s at 4093 on a
 # 2-core x86-64 machine (CPython 3.11).
 HMINUS_P_MAX = 1 << 12
+
+# Exclusive ceiling on the p of irregular_pairs, and so of
+# vandiver_witness, set by running time, which grows like p^1.3 to p^1.7:
+# on a 2-core x86-64 machine (CPython 3.11), 1.3 s at p = 65521 and
+# 2.0-2.5 s at 131071, the largest p below it; past it 6.1 s at 262139,
+# 20 s at 524287, and 66 s with a 143 MB peak at 1048573, just below P_MAX.
+IRREGULAR_P_MAX = 1 << 17
 
 
 class IrregularPair(NamedTuple):
@@ -111,6 +120,8 @@ def irregular_pairs(p: int) -> list[IrregularPair]:
     k - 1 = 2k' + 1, k' < m - 1, one ``_odd_transform`` gives them all.
     """
     check_p(p)
+    if p >= IRREGULAR_P_MAX:
+        raise ValueError(f"irregular pairs need p < {IRREGULAR_P_MAX}")
     g = primitive_root(p)
     coeffs = [2 * (g * a // p) - g + 1 for a in _powers(g, (p - 1) // 2, lambda a, b: a * b % p)]
     values = _odd_transform(coeffs, (p - 3) // 2, g, p)

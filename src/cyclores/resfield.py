@@ -26,9 +26,13 @@ sum a_i zeta^i is sum a_i w^i, taken per coordinate at f > 1.  The
 Frobenius conjugates of w^j are w^(j q^i), i < f, read off it by index;
 so is the orbit of the root w^(1/k) of a Galois image.
 
-F_q[t] has one product (``cycint.kronecker_mul`` reduced mod q), one
+F_q[t] has one product (``cycint.kronecker_mul`` reduced mod q; its
+operands are residues, so their digits are packed unsigned), one
 division (by a monic divisor) and one power table (``_powers``, which
-``regulab`` shares); ``SPLIT_WORK_MAX`` caps the work of a split at f > 1.
+``regulab`` shares).  A power mod a modulus of degree 8 or more reduces
+by a reciprocal that the division computes once per power
+(``_barrett``), so each squaring takes three products and no division.
+``SPLIT_WORK_MAX`` caps the work of a split at f > 1.
 """
 
 from __future__ import annotations
@@ -68,10 +72,10 @@ Q_MAX = 1 << 128
 #: set by running time.  That work is real only where Cantor-Zassenhaus
 #: has factors to separate, (p-1)/f >= 2: an inert split returns Phi_p
 #: at once, but is refused past the ceiling too.  On a 2-core x86-64
-#: machine (CPython 3.11), near it: p = 349, q = 62819 (f = 2) 1.8 s;
-#: p = 181, a 62-bit q (f = 2) 2.6-3.1 s; p = 127, q = 3 (f = 126,
-#: inert) 0.01 s.  Past it: p = 157, q = 50893 (f = 78) 4.5-5.4 s;
-#: p = 181, q = 2 (f = 180, inert) 0.01 s.
+#: machine (CPython 3.11), near it: p = 349, q = 62819 (f = 2) 0.4-0.6 s;
+#: p = 181, q = 2305843009213696751 (62 bits, f = 2) 1.1-1.2 s; p = 127,
+#: q = 3 (f = 126, inert) 0.01 s.  Past it: p = 157, q = 50893 (f = 78)
+#: 0.4 s; p = 181, q = 2 (f = 180, inert) 0.02 s.
 SPLIT_WORK_MAX = 1 << 22
 
 
@@ -180,15 +184,49 @@ def _pgcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     return a
 
 
+# Least modulus degree at which _ppowmod reduces by _barrett.  Below it
+# the long division is cheaper: on a 2-core x86-64 machine (CPython
+# 3.11), with q near 2^16 and 2^61, a power took 1.1-2.0x the long
+# division's time at degrees 2-7, 0.99-1.04x at 8 and 0.89-0.90x at 10.
+_BARRETT_DEGREE = 8
+
+
+def _barrett(m: Sequence[int], q: int):
+    """Reduction mod the monic m, of degree n >= 2 over F_q, of a trimmed
+    product a = top t^n + low of two residues, so deg a <= 2n - 2.
+
+    Barrett's method with the reciprocal mu = t^(2n-2) // m, of degree
+    n - 2, whose reversal is rev(m)^(-1) mod t^(n-1) (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, 9.1): the quotient a // m is
+    coefficients n-2.. of top mu, and the remainder is low minus the
+    quotient times m, mod t^n.  Two products and no long division.
+    """
+    n = len(m) - 1
+    mu = _pdivmod([0] * (2 * n - 2) + [1], m, q)[0]
+    low = m[:n]
+
+    def reduce(a: list[int]) -> list[int]:
+        top = a[n:]
+        if not top:
+            return a
+        quot = [c % q for c in kronecker_mul(top, mu, n - 2, n - 2 + len(top))]
+        return _ptrim([(x - y) % q for x, y in zip(a, kronecker_mul(quot, low, 0, n))])
+
+    return reduce
+
+
 def _ppowmod(base: Sequence[int], e: int, m: Sequence[int], q: int) -> list[int]:
+    """base^e mod the monic m over F_q, by squaring; each product is
+    reduced by ``_barrett`` from degree ``_BARRETT_DEGREE`` on."""
+    reduce = _barrett(m, q) if len(m) > _BARRETT_DEGREE else lambda a: _pdivmod(a, m, q)[1]
     out = [1]
     base = _pdivmod(base, m, q)[1]
     while e:
         if e & 1:
-            out = _pdivmod(_pmul(out, base, q), m, q)[1]
+            out = reduce(_pmul(out, base, q))
         e >>= 1
         if e:
-            base = _pdivmod(_pmul(base, base, q), m, q)[1]
+            base = reduce(_pmul(base, base, q))
     return out
 
 

@@ -198,12 +198,20 @@ def test_verify_edited_q(capsys, tmp_path, q):
     {**PARTIAL, "unfactored_cofactor": {"evil": [1, 2]}},
     {**PARTIAL, "unfactored_cofactor": "1"},
     {**PARTIAL, "unfactored_cofactor": "1" * 3000 + "x"},
+    edited(N="22"),
+    edited(x=-1),
+    edited(x=4, y=2),
+    {**PARTIAL, "unfactored_cofactor": "1113"},
+    {**PARTIAL, "x": -1},
+    {**PARTIAL, "x": 6, "y": 2},
 ], ids=["not-an-object", "truncated", "partial-without-cofactor", "no-sign", "list-sign",
         "null-zeta", "null-x+y", "float-symbol", "float-q", "bool-y",
         "element-exponent-plus-p", "zeta-exponent-plus-p", "negative-unit-exponent",
         "q-mod-p2", "ideal-q", "ideal-modulus", "ideal-modulus-string", "nested-too-deep",
         "null-element", "null-unit", "all-null-table", "partial-1", "partial-cofactor-object",
-        "partial-cofactor-1", "partial-cofactor-3001-characters"])
+        "partial-cofactor-1", "partial-cofactor-3001-characters", "N-2q", "x+y-zero",
+        "x-y-not-coprime", "partial-cofactor-not-dividing-N", "partial-x+y-zero",
+        "partial-x-y-not-coprime"])
 def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     infile = write_lines(tmp_path / "bad.jsonl", [genuine_record(), bad])
     code, out, err = run_cli(capsys, "verify", "--in", infile)
@@ -211,6 +219,22 @@ def test_verify_rejects_file_before_any_output(capsys, tmp_path, bad):
     assert out == ""
     # short but for the file's name: no value of the line is echoed
     assert err.startswith("error:") and len(err.replace(str(infile), "")) < 200
+
+
+def test_verify_refuses_a_rewritten_N(capsys, tmp_path):
+    # N = 4141 = 41 * 101; each record's N rewritten to 13q still has q
+    # as a factor, but is not (x^p - y^p)/(x - y)
+    scanned = tmp_path / "scan.jsonl"
+    code, _, _ = run_cli(capsys, "scan", "--p", 5, "--x", 7, "--y", 3, "--sign", "minus",
+                         "--out", scanned)
+    lines = [json.loads(line) for line in scanned.read_text().splitlines()]
+    assert code == 0 and [(line["N"], line["q"]) for line in lines] == [("4141", 41), ("4141", 101)]
+    code, out, _ = run_cli(capsys, "verify", "--in", scanned)
+    assert code == 0 and out.splitlines()[-1] == '{"records":2,"failures":0}'
+    infile = write_lines(tmp_path / "n13q.jsonl", [{**line, "N": str(13 * line["q"])} for line in lines])
+    code, out, err = run_cli(capsys, "verify", "--in", infile)
+    assert (code, out) == (1, "")
+    assert err == f"error: {infile}:1: bad record: N is not (x^p + s y^p)/(x + s y)\n"
 
 
 SYMBOLS5 = genuine_record()["symbols"]
@@ -314,6 +338,10 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
     ["scan", "--p", 1009, "--x", 3, "--y", 1, "--sign", "plus", "--trial-bound", 1 << 40],
     ["scan", "--p", 5, "--x", int_to_decimal((1 << 52427) + 1), "--y", 1, "--sign", "plus",
      "--trial-bound", 3_000_000],
+    ["irregular", "--p", 131101],
+    ["irregular", "--p", 1048573],
+    ["vandiver", "--p", 131101, "--k", 2],
+    ["vandiver", "--p", 1048573, "--k", 2],
 ], ids=["irregular-p2", "hminus-p2", "irregular-p-over-ceiling",
         "vandiver-p-over-ceiling", "hminus-p-over-ceiling", "split-p3", "split-q-over-64-bits",
         "symbol-q0", "units-p3", "scan-p3", "scan-out-missing-dir", "scan-jobs",
@@ -334,7 +362,9 @@ SYMBOL_PSI13 = ["symbol", "--p", 127, "--q", PSI13, "--w", pow(2, (PSI13 - 1) //
         "barlow-p65537-x-301-digits-over-power-ceiling",
         "scan-p1009-x-1001-digits-over-power-ceiling", "barlow-p1048573-over-power-ceiling",
         "scan-p1009-trial-bound-2-40-over-work-ceiling",
-        "scan-p5-x-52428-bits-trial-bound-3e6-over-work-ceiling"])
+        "scan-p5-x-52428-bits-trial-bound-3e6-over-work-ceiling",
+        "irregular-p131101-over-irregular-ceiling", "irregular-p1048573-over-irregular-ceiling",
+        "vandiver-p131101-over-irregular-ceiling", "vandiver-p1048573-over-irregular-ceiling"])
 def test_bad_input_exits_1(capsys, tmp_path, argv):
     # the message stays short however long the input: it never echoes a
     # value; and a request past a ceiling is refused before the work

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from math import isqrt
 
@@ -179,9 +180,9 @@ def test_width_crosses_from_8_to_9_bytes(monkeypatch, n):
     # digits, and t + 1 needs 9
     widths = []
 
-    def spy(digits, nb):
+    def spy(digits, nb, *signed):
         widths.append(nb)
-        return pack(digits, nb)
+        return pack(digits, nb, *signed)
 
     pack = cycint._pack
     monkeypatch.setattr(cycint, "_pack", spy)
@@ -193,6 +194,56 @@ def test_width_crosses_from_8_to_9_bytes(monkeypatch, n):
             want = [sa * sb * t * t * min(k + 1, 2 * n - 1 - k) for k in range(2 * n - 1)]
             assert kronecker_mul(a, b, 0, 2 * n - 1) == want
             assert widths == [nb, nb]
+
+
+def _convolve(a, b):
+    # reference schoolbook product of two integer polynomials
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+@pytest.mark.parametrize("nb", DIGIT_WIDTHS)
+def test_nonnegative_mul_packs_unsigned_digits(monkeypatch, nb):
+    # nonnegative operands, zeros among them, are packed and read as
+    # unsigned digits of the width the signed rule picks: n coefficients
+    # t make the bound n t^2, whose largest t below 2^(8nb-1) takes nb
+    # bytes and t + 1 the next width; windows of the product agree with
+    # the schoolbook one
+    packs = []
+
+    def spy(digits, nb, *signed):
+        packs.append((nb,) + signed)
+        return pack(digits, nb, *signed)
+
+    pack = cycint._pack
+    monkeypatch.setattr(cycint, "_pack", spy)
+    rng = random.Random(nb)
+    wider = {1: 2, 2: 4, 4: 8}.get(nb, nb + 1)
+    for n in (1, 2, 3, 7, 66):
+        top = isqrt(((1 << (8 * nb - 1)) - 1) // n)
+        for t, width in ((top, nb), (top + 1, wider)):
+            packs.clear()
+            assert kronecker_mul([t] * n, [t] * n, 0, 2 * n - 1) == _convolve([t] * n, [t] * n)
+            assert packs == [(width, False)] * 2
+            a = [rng.choice((0, t, rng.randrange(t + 1))) for _ in range(n)]
+            b = [rng.choice((0, t, rng.randrange(t + 1))) for _ in range(rng.randrange(1, n + 2))]
+            full = _convolve(a, b)
+            ends = range(len(full) + 1) if n < 66 else (0, 1, n, len(full))
+            for lo in ends:
+                for hi in ends:
+                    if lo <= hi:
+                        assert kronecker_mul(a, b, lo, hi) == full[lo:hi]
+    # zeros, and the empty operand: the zero polynomial
+    assert kronecker_mul([0] * 5, [0, 3], 0, 6) == [0] * 6
+    for b in ([0], [7], [0, 255, 1]):
+        for lo in range(len(b)):
+            for hi in range(lo, len(b)):
+                assert kronecker_mul([], b, lo, hi) == kronecker_mul(b, [], lo, hi) == [0] * (hi - lo)
+    assert kronecker_mul([], [], 0, 0) == []
+    assert {signed for _, signed in packs} == {False}
 
 
 @pytest.mark.parametrize("nb", list(range(1, 10)) + [17])

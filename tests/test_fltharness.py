@@ -388,6 +388,34 @@ def test_record_json_rejects_tampering():
         record_from_json(bad)
 
 
+def test_lines_refuse_an_undefined_or_non_coprime_quotient_size_first():
+    # a record's N and a partial line's cofactor are checked against the
+    # quotient of x, y and the sign; past POWER_BITS_MAX the size is
+    # refused first, before any gcd or power, so a zero denominator or a
+    # common factor is a ValueError, never a ZeroDivisionError
+    record = record_to_json(scan(CTX5, 2, 1, PLUS, 10**6)[0])
+    partial = partial_to_json(5, 6, 1, PLUS, 1111)
+    big = int_to_decimal(1 << (POWER_BITS_MAX // 5))
+    cases = [
+        (big, "-" + big, "plus", "POWER_BITS_MAX"),
+        (big, big, "minus", "POWER_BITS_MAX"),
+        (1, -1, "plus", "quotient undefined"),
+        (1, 1, "minus", "quotient undefined"),
+        (6, 4, "plus", "coprime"),
+        (0, 1, "plus", "nonzero"),
+    ]
+    for x, y, sign, message in cases:
+        for line in (record, partial):
+            with pytest.raises(ValueError, match=message):
+                line_from_json({**line, "x": x, "y": y, "sign": sign})
+    # N itself, and a cofactor that does not divide it
+    with pytest.raises(ValueError, match="N is not"):
+        record_from_json({**record, "N": "22"})
+    with pytest.raises(ValueError, match="does not divide N"):
+        line_from_json({**partial, "unfactored_cofactor": "13"})
+    assert line_from_json(partial) == 1111
+
+
 def test_scan_is_deterministic():
     a = [record_to_json(r) for r in scan(CTX5, 12, 5, PLUS, 10**6)]
     b = [record_to_json(r) for r in scan(CTX5, 12, 5, PLUS, 10**6)]

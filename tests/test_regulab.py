@@ -297,9 +297,9 @@ def test_h_minus_packs_word_digits(monkeypatch):
     widths = []
     real = cycint._pack
 
-    def spy(digits, nb):
+    def spy(digits, nb, *signed):
         widths.append(nb)
-        return real(digits, nb)
+        return real(digits, nb, *signed)
 
     monkeypatch.setattr(cycint, "_pack", spy)
     for p in primes_upto(500)[1:] + (1021,):
@@ -345,6 +345,20 @@ def test_h_minus_refused_at_its_ceiling_before_any_table(monkeypatch):
     for p in (regulab.HMINUS_P_MAX + 3, 16381, 1048573):
         with pytest.raises(ValueError):
             h_minus(p)
+
+
+def test_irregular_pairs_refused_at_their_ceiling_before_any_table(monkeypatch):
+    # vandiver_witness inherits the ceiling through irregular_pairs
+    def no_table(p):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(regulab, "primitive_root", no_table)
+    for p in (131101, 262139, 1048573):  # primes at or past IRREGULAR_P_MAX = 2^17
+        assert p >= regulab.IRREGULAR_P_MAX
+        with pytest.raises(ValueError, match="irregular pairs need p < 131072"):
+            irregular_pairs(p)
+        with pytest.raises(ValueError, match="irregular pairs need p < 131072"):
+            vandiver_witness(p, 2, 1)
 
 
 @pytest.mark.parametrize("wrong_call", ["first", "spare"])

@@ -8,7 +8,7 @@ from sympy import GF, ZZ, Poly, symbols
 from sympy.polys.galoistools import gf_pow_mod
 
 from cyclores import resfield
-from cyclores.cycint import CycInt, cyc_new, cyc_zero, field_ctx
+from cyclores.cycint import CycInt, cyc_new, cyc_zero, field_ctx, kronecker_mul
 from cyclores.cycunits import unit_minus
 from cyclores.ntheory import is_prime, multiplicative_order
 from cyclores.resfield import (
@@ -563,18 +563,38 @@ def test_gcd_matches_euclid_and_sympy(q):
 
 
 @pytest.mark.parametrize("q", FIELD_QS)
-def test_powmod_matches_sympy(q):
+def test_powmod_matches_sympy(q, monkeypatch):
+    # moduli of degree 1 and 2 reduce by long division, d - 1 and d lie
+    # either side of d = _BARRETT_DEGREE, and 40 and 160 reduce by
+    # _barrett at Cantor-Zassenhaus sizes; every product the power takes
+    # has operands reduced mod q, so kronecker_mul packs unsigned digits
+    operands = []
+
+    def spy(a, b, lo, hi):
+        operands.extend((a, b))
+        return kronecker_mul(a, b, lo, hi)
+
+    monkeypatch.setattr(resfield, "kronecker_mul", spy)
+    d = resfield._BARRETT_DEGREE
     rng = random.Random(q + 3)
-    for db, dm, e in ((3, 4, 0), (3, 4, 1), (7, 5, 2), (10, 6, 1000), (2, 9, q**3 + 5)):
+    cases = [(3, 4, 0), (3, 4, 1), (7, 5, 2), (10, 6, 1000), (2, 9, q**3 + 5)]
+    cases += [(dm + 3, dm, e) for dm in (1, 2, d - 1, d, 40, 160) for e in (0, 1, q**3 + 5)]
+    for db, dm, e in cases:
         base, m = random_poly(rng, q, db), random_poly(rng, q, dm, monic=True)
         got = _ppowmod(base, e, m, q)
         want = gf_pow_mod(base[::-1], e, m[::-1], q, ZZ)
-        assert got == trim([int(c) for c in reversed(want)])
+        assert got == trim([int(c) for c in reversed(want)]), (dm, e)
         if e <= 2:
             slow = [1]
             for _ in range(e):
                 slow = long_divmod(school_mul(slow, base, q), m, q)[1]
             assert got == long_divmod(slow, m, q)[1]
+    assert operands and all(0 <= c < q for cs in operands for c in cs)
+    # the zero base, and the modulus 1, whose residue ring is zero but
+    # whose power 0 is [1]
+    m = random_poly(rng, q, 40, monic=True)
+    assert (_ppowmod([], 0, m, q), _ppowmod([], 5, m, q), _ppowmod([q, 0], 5, m, q)) == ([1], [], [])
+    assert (_ppowmod([3, 1], 0, [1], q), _ppowmod([3, 1], 5, [1], q)) == ([1], [])
 
 
 @pytest.mark.parametrize("p, q", [(5, 19), (7, 2), (11, 3), (13, 5), (31, 2), (41, 56809)])
