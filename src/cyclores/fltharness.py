@@ -16,6 +16,16 @@ the last two alternating, K = 1 first.  Every entry is an exponent in
 [0, p).  The labels of one (p, s) are made once (``_labels``), and the
 record builder, the reader and the checks share them.
 
+The ideal has degree 1 and maps zeta to w = -s y/x in F_q, so the
+entries "x+y" and "x+zeta^K*y" are symbols of the F_q scalars x + y and
+x + w^K y, each one ``residue_symbol`` off the ideal's ``w_powers``.
+The unit entries still build each unit as a dense element of Z[zeta]
+and reduce it by a dot product with ``w_powers``.  Their closed forms
+(w^shift (w^J - 1)/(w - 1), w^shift (1 + w^J)/(1 + w)) would make
+``scan`` about 20 times faster again; that waits on a benchmark whose
+peak-memory reading does not grow with the repetitions a faster run
+fits (ROADMAP items 1 and 2).
+
 A scan writes JSON lines of two kinds, and ``line_from_json`` reads both
 back: one record per located q (``record_to_json``), then, when a
 cofactor is left unfactored, one partial line (``partial_to_json``)
@@ -27,9 +37,10 @@ divide it.
 ``verify_lines`` writes the lines ``verify`` prints for them.  A
 record's line holds its "q", "x", "y" and "sign", then:
 
-* "congruences_ok" and "congruence_failures", the k = 1..p-2 at which
-  x + zeta^k y = x (1 -+ zeta^(k+1)) fails mod the ideal (sign - on
-  plus scans, + on minus scans);
+* "congruences_ok" and "congruence_failures", always true and []: the
+  k = 1..p-2 at which x + zeta^k y = x (1 -+ zeta^(k+1)) fails mod the
+  ideal (sign - on plus scans, + on minus scans), which parsing has
+  already ruled out (below);
 * "symbol_identities_ok" and "symbol_identity_failures", the k at which
   the symbol identity, in the form valid for arbitrary coprime inputs,
 
@@ -47,12 +58,14 @@ record's line holds its "q", "x", "y" and "sign", then:
   never asserted: the bools of ``furtwangler_report`` and
   ``conjugate_symmetry_report``.
 
-A record fails when a congruence, a symbol identity or the zeta
-consistency fails.  Each partial line gives {"skipped_partial": true,
+A record fails when a symbol identity or the zeta consistency fails.
+Each partial line gives {"skipped_partial": true,
 "unfactored_cofactor"}, and the last line is {"records", "failures"}.
-"congruences_ok" cannot be false on a record ``record_from_json``
-accepted: the sides of the k-th congruence differ by s w^k (x w + s y),
-and parsing already requires x w + s y = 0 mod q.
+No congruence can fail on a record ``record_from_json`` accepted: the
+sides of the k-th congruence differ by s w^k (x w + s y), and parsing
+already requires x w + s y = 0 mod q.  So ``verify_lines`` prints the
+congruence keys without a pass over the record, and
+``verify_congruences`` remains the check for records built otherwise.
 
 ``telescope_replay`` replays the telescoping symbol recurrences for both
 unit families symbolically over Z/p and returns whether they meet their
@@ -75,8 +88,6 @@ from .cycint import (
     Frozen,
     InternalError,
     check_p,
-    cyc_int,
-    cyc_new,
     field_ctx,
     int_from_json,
     int_to_decimal,
@@ -317,10 +328,12 @@ def _build_record(ctx: FieldCtx, x: int, y: int, sign: int, n_value: int, q: int
     ideal = ideal_dividing(ctx, q, x, y, sign)
     if ideal is None:
         raise InternalError(f"no root-of-unity divisor of x*zeta+sign*y above q={q}")
-    values = [zeta_symbol(ideal), symbol(cyc_int(ctx, x + y), ideal)]
+    wpow = ideal.w_powers
+    values = [zeta_symbol(ideal), residue_symbol(ideal, (x + y) % q)]
     for k in range(1, p - 1):
-        # x + zeta^k y = x (1 -+ zeta^(k+1)) mod the ideal; neither factor lies in it
-        values.append(symbol(cyc_new(ctx, [(0, x), (k, y)]), ideal))
+        # x + zeta^k y reduces to the scalar x + w^k y = x (1 -+ w^(k+1)),
+        # and neither factor is 0 mod q
+        values.append(residue_symbol(ideal, (x + y * wpow[k]) % q))
         unit = unit_minus(ctx, k + 1) if sign == PLUS else unit_plus(ctx, k + 1)
         values.append(symbol(unit, ideal))
     symbols = dict(zip(_labels(p, sign)[0], values))
@@ -329,7 +342,9 @@ def _build_record(ctx: FieldCtx, x: int, y: int, sign: int, n_value: int, q: int
 
 def verify_congruences(rec: ScanRecord) -> list[int]:
     """The k in 1..p-2 at which x + zeta^k y = x (1 -+ zeta^(k+1)) fails
-    mod the record's ideal, in increasing order."""
+    mod the record's ideal, in increasing order.  It is [] on every
+    record ``record_from_json`` accepts, so ``verify_lines`` does not
+    call it."""
     q, wpow = rec.q, rec.ideal.w_powers
     return [
         k for k in range(1, rec.p - 1)
@@ -461,18 +476,23 @@ def furtwangler_report(rec: ScanRecord) -> bool:
     sym(1 + zeta^j) is trivial (j = 1..p-1).
 
     Reported, never asserted.  The record's ideal has degree 1, so each
-    element's residue is the F_q scalar 1 -+ w^j (or p) and its symbol
-    one power map away.  None of them vanishes: w has order p, so w^j is
-    neither 1 nor -1.  The family's symbols are computed only until the
-    display is decided.
+    element's residue is the F_q scalar 1 -+ w^j (or p), and two symbols
+    are equal exactly when the E-th powers of their residues are, E the
+    ideal's ``euler_exponent``: the display compares (1 - w^j)^E with
+    p^E, or (1 + w^j)^E with 1, over running powers of w, with no table
+    of the powers of w and no discrete logarithm.  None of the residues
+    vanishes: w has order p, so w^j is neither 1 nor -1.  The powers are
+    taken only until the display is decided.
     """
     ideal = rec.ideal
-    q = ideal.q
-    roots = ideal.w_powers[1:]
-    if rec.sign == PLUS:
-        p_exp = residue_symbol(ideal, rec.p % q)
-        return all(residue_symbol(ideal, (1 - w) % q) == p_exp for w in roots)
-    return not any(residue_symbol(ideal, (1 + w) % q) for w in roots)
+    q, w, e = ideal.q, ideal.w, ideal.euler_exponent
+    target = pow(rec.p, e, q) if rec.sign == PLUS else 1
+    wj = 1
+    for _ in range(1, rec.p):
+        wj = wj * w % q
+        if pow(1 - rec.sign * wj, e, q) != target:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -582,27 +602,34 @@ def line_from_json(data: object) -> ScanRecord | int:
 # verify lines: one per scan line, then the summary
 
 def verify_lines(entries: Iterable[ScanRecord | int]) -> Iterator[dict]:
-    """The lines ``verify`` prints for the scan lines ``entries``, as
-    ``line_from_json`` reads them: a record, or a partial line's cofactor.
-    The keys, and which checks fail a record, are in the module docstring."""
+    """The lines ``verify`` prints for ``entries``, the values that
+    ``line_from_json`` returns for a scan's lines: a record, or a partial
+    line's cofactor.  The keys, and which checks fail a record, are in
+    the module docstring.
+
+    "congruences_ok" is printed true and "congruence_failures" empty, as
+    "skipped" is printed empty, with no pass over the record: the two
+    sides of the k-th congruence differ by s w^k (x w + s y), and
+    ``record_from_json`` refuses every record with x w + s y != 0 mod q.
+    ``verify_congruences`` is the check itself, for records built by
+    other means."""
     records = failures = 0
     for entry in entries:
         if isinstance(entry, int):
             yield {"skipped_partial": True, "unfactored_cofactor": int_to_decimal(entry)}
             continue
-        congruence_failures = verify_congruences(entry)
         identity_failures = verify_symbol_identities(entry)
         p2 = (entry.q - 1) % (entry.p * entry.p) == 0
         zeta_ok = (entry.symbols["zeta"] == 0) == p2  # Furtwangler's first theorem
         records += 1
-        failures += bool(congruence_failures or identity_failures or not zeta_ok)
+        failures += bool(identity_failures or not zeta_ok)
         yield {
             "q": entry.q,
             "x": int_to_json(entry.x),
             "y": int_to_json(entry.y),
             "sign": _SIGN_NAME[entry.sign],
-            "congruences_ok": not congruence_failures,
-            "congruence_failures": congruence_failures,
+            "congruences_ok": True,
+            "congruence_failures": [],
             "symbol_identities_ok": not identity_failures,
             "symbol_identity_failures": identity_failures,
             "skipped": [],

@@ -14,7 +14,14 @@ import cyclores
 from cyclores import cli, resfield
 from cyclores.cli import run
 from cyclores.cycint import InternalError, field_ctx, int_from_json, int_to_decimal
-from cyclores.fltharness import MINUS, PLUS, record_to_json, scan
+from cyclores.fltharness import (
+    MINUS,
+    PLUS,
+    line_from_json,
+    record_to_json,
+    scan,
+    verify_congruences,
+)
 
 
 def run_cli(capsys, *argv):
@@ -566,6 +573,21 @@ def paths(node, prefix=()):
             yield from paths(value, prefix + (key,))
 
 
+def fuzzed(rng, records):
+    """A copy of one of ``records`` with one key path deleted or set to one
+    of FUZZ_VALUES."""
+    rec = json.loads(json.dumps(rng.choice(records)))
+    *parents, key = rng.choice(list(paths(rec)))
+    node = rec
+    for name in parents:
+        node = node[name]
+    if rng.random() < 0.2:
+        del node[key]
+    else:
+        node[key] = rng.choice(FUZZ_VALUES)
+    return rec
+
+
 def test_verify_fuzzed_records_never_exit_3(capsys, tmp_path):
     rng = random.Random(20130423)
     records = fuzz_records()
@@ -573,15 +595,7 @@ def test_verify_fuzzed_records_never_exit_3(capsys, tmp_path):
     infile = tmp_path / "fuzz.jsonl"
     codes = set()
     for _ in range(600):
-        rec = json.loads(json.dumps(rng.choice(records)))
-        *parents, key = rng.choice(list(paths(rec)))
-        node = rec
-        for name in parents:
-            node = node[name]
-        if rng.random() < 0.2:
-            del node[key]
-        else:
-            node[key] = rng.choice(FUZZ_VALUES)
+        rec = fuzzed(rng, records)
         infile.write_text(json.dumps(rec) + "\n")
         code, out, err = run_cli(capsys, "verify", "--in", infile)
         assert code in (0, 1, 2), (rec, err)
@@ -589,6 +603,169 @@ def test_verify_fuzzed_records_never_exit_3(capsys, tmp_path):
             assert out == "", rec
         codes.add(code)
     assert codes >= {1, 2}
+
+
+def test_fuzzed_records_that_parse_pass_every_congruence():
+    # verify prints "congruences_ok" without a pass: every record that
+    # line_from_json accepts, genuine or drawn as the fuzz test above
+    # draws them, passes that pass
+    rng = random.Random(20130423)
+    records = fuzz_records()
+    accepted = 0
+    for rec in records + [fuzzed(rng, records) for _ in range(600)]:
+        try:
+            entry = line_from_json(rec)
+        except (ValueError, KeyError, TypeError):
+            continue
+        accepted += 1
+        assert verify_congruences(entry) == [], rec
+    assert accepted > len(records)
+
+
+# The contract fuzzer: argv for every command, drawn from a grammar with p
+# below 300 and integers of any size elsewhere.  Trial bounds come from a
+# short list, so that no draw lands just under TRIAL_WORK_MAX, and
+# telescope's --pmax is drawn as a p.
+FUZZ_PRIMES = list(sympy.primerange(2, 300))
+IRREGULAR_K = {37: 32, 59: 44, 67: 58, 101: 68}
+NOT_INTEGERS = ["", "x", "+5", "1_0", " 7", "1e3", "0x10", "1.0", "\u0663", "-", "--"]
+TRIAL_BOUNDS = [None, 2, 10, 1000, 10**5, 1 << 40, (1 << 40) + 1, 0, -7, 2**64, "1e6"]
+ALPHA_NOT_LISTS = ["5", "null", "true", "1.5", '"1234"', "{}", '{"a": 1}', "", "[", "[1,", DEEP_JSON]
+
+
+def fuzz_int(rng):
+    """A decimal integer option of any size, or now and then not one."""
+    r = rng.random()
+    if r < 0.3:
+        n = rng.randint(-30, 30)
+    elif r < 0.45:
+        n = 2 ** rng.choice((31, 61, 63, 64, 127, 128)) + rng.randint(-3, 3)
+    elif r < 0.65:
+        n = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 200))
+    elif r < 0.75:
+        n = rng.getrandbits(rng.randint(200, 5000))
+    elif r < 0.8:
+        return "1" + "".join(rng.choices("0123456789", k=rng.randint(4300, 100_000)))
+    elif r < 0.9:
+        n = sympy.nextprime(rng.getrandbits(rng.randint(2, 40)))
+    else:
+        return rng.choice(NOT_INTEGERS)
+    return int_to_decimal(n)
+
+
+def fuzz_p(rng):
+    """p below 300: mostly an odd prime, else any integer below 300 or no integer."""
+    r = rng.random()
+    if r < 0.8:
+        return rng.choice(FUZZ_PRIMES)
+    if r < 0.95:
+        return rng.randint(-5, 299)
+    return rng.choice(NOT_INTEGERS)
+
+
+def fuzz_ideal(rng, p):
+    """(q, w): a degree-1 ideal above a prime q = 1 mod p, or noise."""
+    if not (isinstance(p, int) and p >= 3 and sympy.isprime(p)) or rng.random() < 0.3:
+        return fuzz_int(rng), fuzz_int(rng)
+    q = 1 + 2 * p * rng.randint(1, 300)
+    while not sympy.isprime(q):
+        q += 2 * p
+    w = 1
+    while w == 1:
+        w = pow(rng.randrange(2, q), (q - 1) // p, q)
+    return q, w
+
+
+def fuzz_alpha(rng, p):
+    """The JSON text of --alpha: p-1 coefficients, or a near miss."""
+    r = rng.random()
+    n = p - 1 if isinstance(p, int) and 2 <= p < 300 else 4
+    items = [rng.randint(-9, 9) for _ in range(n)]
+    if r < 0.15:
+        return rng.choice(ALPHA_NOT_LISTS)
+    if r < 0.3:
+        items = items[:rng.randint(0, n)] if rng.random() < 0.5 else items + [1]
+    elif r < 0.5:
+        items[rng.randrange(n)] = rng.choice(FUZZ_VALUES + [[[1]], "1" * 5000 + "x"])
+    elif r < 0.6:
+        items[rng.randrange(n)] = fuzz_int(rng)
+    return json.dumps(items)
+
+
+def fuzz_argv(rng, files):
+    """One argv for a command drawn uniformly, as option pairs; an option
+    may then be dropped, an unknown one added, or --help asked for."""
+    command = rng.choice(sorted(cli._HANDLERS))
+    p = fuzz_p(rng)
+    opts = [("--p", p)]
+    if command == "split":
+        opts.append(("--q", fuzz_ideal(rng, p)[0]))
+    elif command == "symbol":
+        q, w = fuzz_ideal(rng, p)
+        opts.append(("--q", q))
+        if rng.random() < 0.8:
+            opts.append(("--w", w))
+        if rng.random() < 0.3:
+            modulus = [(-w) % q, 1] if isinstance(q, int) and isinstance(w, int) else [fuzz_int(rng), 1]
+            opts.append(("--modulus", ",".join(map(str, modulus))))
+        opts.append(("--alpha", fuzz_alpha(rng, p)))
+    elif command == "vandiver":
+        if rng.random() < 0.4:
+            p = rng.choice(sorted(IRREGULAR_K))
+            opts = [("--p", p), ("--k", IRREGULAR_K[p])]
+        else:
+            opts.append(("--k", fuzz_int(rng)))
+        if rng.random() < 0.5:
+            opts.append(("--candidates", fuzz_int(rng)))
+    elif command == "scan":
+        opts += [("--x", fuzz_int(rng)), ("--y", fuzz_int(rng)),
+                 ("--sign", rng.choice(("plus", "minus", "zero")))]
+        bound = rng.choice(TRIAL_BOUNDS)
+        if bound is not None:
+            opts.append(("--trial-bound", bound))
+        if rng.random() < 0.3:
+            opts.append(("--out", rng.choice((files["out"], files["missing"]))))
+    elif command == "verify":
+        opts = [("--in", rng.choice(list(files.values())))]
+    elif command == "telescope":
+        opts = [("--pmax", p)]
+    elif command == "barlow":
+        opts += [("--x", fuzz_int(rng)), ("--y", fuzz_int(rng)), ("--z", fuzz_int(rng))]
+    r = rng.random()
+    if r < 0.1:
+        del opts[rng.randrange(len(opts))]
+    elif r < 0.15:
+        opts.append(("--bogus", 1))
+    elif r < 0.17:
+        opts.append(("--help", None))
+    return [command] + [str(a) for pair in opts for a in pair if a is not None]
+
+
+def test_contract_fuzzer_over_every_command(capsys, tmp_path):
+    # exit 0, 1 or 2 on every draw (3 is kept for bugs), and a refused
+    # request prints nothing on stdout
+    tampered = edited(symbols=dict(genuine_record()["symbols"], zeta=0))
+    files = {
+        "genuine": write_lines(tmp_path / "genuine.jsonl", [genuine_record(), PARTIAL]),
+        "tampered": write_lines(tmp_path / "tampered.jsonl", [tampered]),
+        "empty": write_lines(tmp_path / "empty.jsonl", []),
+        "garbage": write_lines(tmp_path / "garbage.jsonl", ["{", "[1, 2]", DEEP_JSON]),
+        "directory": str(tmp_path),
+        "missing": str(tmp_path / "absent" / "x.jsonl"),
+        "out": str(tmp_path / "out.jsonl"),
+    }
+    rng = random.Random(20130424)
+    codes = {}
+    for _ in range(800):
+        argv = fuzz_argv(rng, files)
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2), (argv, err)
+        if code == 1:
+            assert out == "", argv
+        codes.setdefault(argv[0], set()).add(code)
+    assert set(codes) == set(cli._HANDLERS)
+    assert set().union(*codes.values()) == {0, 1, 2}
+    assert all(0 in got and 1 in got for got in codes.values()), codes
 
 
 def test_inert_split_is_fast(capsys):

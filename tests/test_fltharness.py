@@ -1,4 +1,5 @@
 import json
+from functools import cache
 from math import gcd, isqrt
 
 import pytest
@@ -6,7 +7,7 @@ import sympy
 
 from cyclores import fltharness
 from cyclores.cycint import cyc_int, cyc_new, field_ctx, int_to_decimal
-from cyclores.cycunits import unit_minus
+from cyclores.cycunits import unit_minus, unit_plus
 from cyclores.fltharness import (
     MINUS,
     PLUS,
@@ -343,6 +344,79 @@ def test_furtwangler_display_holds_either_way(x, y, sign, q, holds):
     rec = {rec.q: rec for rec in scan(CTX5, x, y, sign, 10**6)}[q]
     assert furtwangler_report(rec) is holds
     assert _dense_furtwangler(rec) is holds
+
+
+# the sweep: p in SWEEP_PRIMES, coprime x != y in [1, 8], both signs, trial bound 10^5
+SWEEP_PRIMES = (5, 7, 11, 13, 37)
+
+
+@cache
+def _sweep():
+    records = []
+    for p in SWEEP_PRIMES:
+        for x in range(1, 9):
+            for y in range(1, 9):
+                if x != y and gcd(x, y) == 1:
+                    for sign in (PLUS, MINUS):
+                        records += scan(field_ctx(p), x, y, sign, 10**5)
+    return tuple(records)
+
+
+def test_scan_entries_match_dense_symbols():
+    # every entry of every sweep record, against the symbol of its element
+    # built densely in Z[zeta]
+    records = _sweep()
+    assert {rec.p for rec in records} == set(SWEEP_PRIMES)
+    for rec in records:
+        ctx, ideal, x, y = rec.ideal.ctx, rec.ideal, rec.x, rec.y
+        unit = unit_minus if rec.sign == PLUS else unit_plus
+        want = {"zeta": zeta_symbol(ideal), "x+y": symbol(cyc_int(ctx, x + y), ideal)}
+        for k in range(1, rec.p - 1):
+            want[f"x+zeta^{k}*y"] = symbol(cyc_new(ctx, [(0, x), (k, y)]), ideal)
+            want[f"{unit.__name__}[{k + 1}]"] = symbol(unit(ctx, k + 1), ideal)
+        assert list(rec.symbols.items()) == list(want.items()), (rec.p, x, y, rec.sign, rec.q)
+
+
+def test_unit_entries_are_symmetric():
+    # unit_minus(p-a) = -unit_minus(a), unit_plus(p-a) = unit_plus(a) and
+    # sym(-1) = 0: the entries at a and p-a agree, and at p-1 it is 0
+    for rec in _sweep():
+        p = rec.p
+        unit = "unit_minus" if rec.sign == PLUS else "unit_plus"
+        entries = {a: rec.symbols[f"{unit}[{a}]"] for a in range(2, p)}
+        assert entries[p - 1] == 0, (p, rec.x, rec.y, rec.sign, rec.q)
+        assert all(entries[a] == entries[p - a] for a in range(2, p - 1)), \
+            (p, rec.x, rec.y, rec.sign, rec.q)
+
+
+def test_verify_lines_leaves_congruences_to_parsing():
+    # verify prints the congruence keys without a pass: on every record that
+    # parsing accepts the pass finds nothing, and verify needs neither the
+    # powers of w nor their logarithms
+    for rec in _sweep():
+        parsed = line_from_json(json.loads(json.dumps(record_to_json(rec))))
+        line, summary = verify_lines([parsed])
+        assert (line["congruences_ok"], line["congruence_failures"]) == (True, [])
+        assert summary == {"records": 1, "failures": 0}
+        assert not {"w_powers", "_dlog"} & set(vars(parsed.ideal))
+        assert verify_congruences(parsed) == []
+
+
+# (x, y, q): minus scans at p = 5 with a record at q where the display
+# holds; the first lies in the sweep
+FURTWANGLER_HOLDS = [(5, 6, 4651), (3, 10, 14251)]
+
+
+def test_furtwangler_report_matches_symbols_over_the_sweep():
+    extra = [rec for x, y, q in FURTWANGLER_HOLDS
+             for rec in scan(CTX5, x, y, MINUS, 10**5) if rec.q == q]
+    assert len(extra) == len(FURTWANGLER_HOLDS)
+    outcomes = []
+    for rec in _sweep() + tuple(extra):
+        outcomes.append(furtwangler_report(rec))
+        assert outcomes[-1] is _dense_furtwangler(rec), (rec.p, rec.x, rec.y, rec.sign, rec.q)
+    assert all(outcomes[-len(extra):])
+    assert set(outcomes[:-len(extra)]) == {True, False}
 
 
 def test_record_json_round_trip():
