@@ -5,7 +5,9 @@ modulo p, the relative class number h^- rebuilt by CRT from its
 residues modulo word primes under an exact bound on h^- itself, and
 one-sided witnesses that a cyclotomic-unit eigencomponent is not a
 p-th power.  The irregular pairs and each residue of h^- are values of
-one chirp-z transform, ``_odd_transform``.
+one chirp-z transform, ``_odd_transform``, of m = (p-1)/2 coefficients
+at an omega of order 2m: its chirp repeats up to sign with period m, so
+Bluestein's convolution folds to one m x m Kronecker product.
 
 Every function taking a prime p accepts only odd primes p < P_MAX = 2^20
 (``cycint.check_p``) and raises ValueError otherwise, before it builds
@@ -13,9 +15,9 @@ any table of about p entries.  ``h_minus`` also needs p < HMINUS_P_MAX,
 and ``irregular_pairs``, so ``vandiver_witness`` too, p < IRREGULAR_P_MAX.
 
 A word prime of h^- at p = 2m + 1 is a prime l = 1 (mod p-1) with
-l^2 m < 2^63.  Every convolution digit of its transform, a sum of at
-most m products of residues below l, then fits in 8 bytes, and every
-other step works on one-digit ints.
+l^2 m < 2^63.  Every digit of its transform's product, a sum of at most
+m products of residues below l, then fits in 8 bytes, and every other
+step works on one-digit ints.
 
 The witness search is one-sided by design: a nonzero residue symbol of
 the eigencomponent proves it is not a p-th power in the field, while an
@@ -53,15 +55,15 @@ __all__ = [
 # and by running time.  Below it the word primes cover the CRT bound with
 # room to spare: at p = 4093 it takes 294 and the spare of 3338, while at
 # p = 16381 only 572 exist, all short of the bound.  The time grows like
-# p^2.5 to p^3: 0.07 s at p = 1009, 0.4 s at 2039 and 2.8 s at 4093 on a
-# 2-core x86-64 machine (CPython 3.11).
+# p^2.6 to p^2.7: 0.04 s at p = 1009, 0.24 s at 2039 and 1.5 s at 4093 on
+# a 2-core x86-64 machine (CPython 3.11).
 HMINUS_P_MAX = 1 << 12
 
 # Exclusive ceiling on the p of irregular_pairs, and so of
-# vandiver_witness, set by running time, which grows like p^1.3 to p^1.7:
-# on a 2-core x86-64 machine (CPython 3.11), 1.3 s at p = 65521 and
-# 2.0-2.5 s at 131071, the largest p below it; past it 6.1 s at 262139,
-# 20 s at 524287, and 66 s with a 143 MB peak at 1048573, just below P_MAX.
+# vandiver_witness, set by running time, which grows like p^1.5 to p^1.7:
+# on a 2-core x86-64 machine (CPython 3.11), 0.33 s at p = 65521 and
+# 1.0 s at 131071, the largest p below it; past it 3.2 s at 262139,
+# 9.3 s at 524287, and 26 s with a 127 MB peak at 1048573, just below P_MAX.
 IRREGULAR_P_MAX = 1 << 17
 
 
@@ -198,18 +200,30 @@ def _odd_character_product(coeffs: list[int], n: int, ell: int) -> int:
 
 def _odd_transform(coeffs: list[int], count: int, omega: int, ell: int) -> list[int]:
     """G(omega^(2k+1)) * omega^(-k^2) mod ell for k < count, ell prime,
-    G(T) = sum_t coeffs[t] T^t and omega a unit mod ell.
+    G(T) = sum_t coeffs[t] T^t and omega^(2m) = 1 (mod ell), m = len(coeffs).
 
-    Chirp-z (Bluestein): 2kt = k^2 + t^2 - (k-t)^2 turns the values into
-    C[k+m-1], m = len(coeffs), C the convolution of A_t = c_t omega^(t^2+t)
-    with B_d = omega^(-(d-m+1)^2), one Kronecker-packed integer product.
+    Chirp-z (Bluestein): 2kt = k^2 + t^2 - (k-t)^2 makes the k-th value
+    sum_t A_t B_(k-t) with A_t = c_t omega^(t^2+t) and B_d = omega^(-d^2),
+    -m < k-t < m.  As omega^(2m) = 1, B_(d+m) = s B_d with
+    s = omega^(-m^2) = +-1, so with L the product of A and B_0..B_(m-1),
+    one Kronecker-packed m x m integer product, the value is
+    L_k + s L_(k+m): a cyclic fold for s = 1 (m even), a negacyclic one
+    for s = -1 (m odd and omega^m = -1).  A digit of L sums at most m
+    products of residues below ell, so it fits 8 bytes where ell^2 m < 2^63.
+    ValueError unless 0 <= count <= m and omega^(2m) = 1, before any
+    chirp is built.
     """
     m = len(coeffs)
+    if not 0 <= count <= m:
+        raise ValueError(f"count must be in [0, {m}]")
+    if pow(omega, 2 * m, ell) != 1:
+        raise ValueError("omega^(2m) must be 1 modulo ell")
     chirp_a = [c * z % ell for c, z in zip(coeffs, _chirp(omega, 1, m, ell))]
-    chirp_b = _chirp(pow(omega, -1, ell), 0, max(m, count), ell)
-    chirp_b = chirp_b[m - 1 : 0 : -1] + chirp_b[:count]
-    conv = kronecker_mul(chirp_a, chirp_b, m - 1, m - 1 + count)
-    return [c % ell for c in conv]
+    chirp_b = _chirp(pow(omega, -1, ell), 0, m, ell)
+    conv = kronecker_mul(chirp_a, chirp_b, 0, 2 * m - 1) + [0]
+    if pow(omega, m * m, ell) == 1:
+        return [(x + y) % ell for x, y in zip(conv[:count], conv[m:])]
+    return [(x - y) % ell for x, y in zip(conv[:count], conv[m:])]
 
 
 def _chirp(omega: int, c: int, count: int, ell: int) -> list[int]:

@@ -798,10 +798,14 @@ GOLDEN = [
     (["irregular", "--p", 37], "5796b21598f6bf809541818b0c1ef65c1effbd5928596baca25fd2303a207043"),
     (["irregular", "--p", 59], "a4659b3f10b30257d24e0c4f94df7ae03b8ad77621364df9be9fef5741620e01"),
     (["irregular", "--p", 101], "37eaf6fc54a1298993851724f281fec3736d8b04afb653d55e2167846a5458da"),
+    # m = (p-1)/2 = 8003 is odd, so the chirp-z product folds negacyclically
+    (["irregular", "--p", 16007], "33e89f5b7ed2051f303926e946a410e51ed6d210162ea3e6bb49abbbe44aef3b"),
     (["hminus", "--p", 37], "ee2511bf534f5f08a0864b57f920bfefdff458567a54968c415742aef279f381"),
     (["hminus", "--p", 59], "9b5d75af8f71138ee7e8d584743f291c1c2074b477415c9127bbbed80fd26748"),
     (["hminus", "--p", 101], "ac145c3f9dd413046f3706083a4164c6eabebb1a1e7c42e68f9a5956ac281182"),
     (["hminus", "--p", 1021], "c6d45ea40284185ed360b257869f3e23a156535a560b78a764e751c1608b39d0"),
+    # irregular (k = 888), m = 545 odd: a negacyclic fold at every word prime
+    (["hminus", "--p", 1091], "66d3fdfd14a12aede46e3117ab5d0fa9e54c407fef2e34835a25791db2a28c5e"),
     (["vandiver", "--p", 37, "--k", 32], "df515b02b3b6cea5a13a645c5ee882b628d5ebd73653b21de03510f6ad2c45c8"),
     (["telescope", "--pmax", 50], "2ac1374ce3215e0c658958b0f3ccabe21b1597110839854ca7ca752b93664abe"),
     (["barlow", "--p", 3, "--x", 1, "--y", 7, "--z", 8],

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -218,16 +218,39 @@ def test_irregular_pairs_match_newton_bernoulli():
 # of h_minus(37), at the edge of the 8-byte digits: 18 (l-1)^2 < 2^63
 @pytest.mark.parametrize("ell", [37, 4611686018427387847, 715827817])
 def test_odd_transform_matches_direct_sum(ell):
+    # omega^(2m) = 1 is the transform's contract, so omega is drawn from
+    # the roots of order dividing gcd(2m, l-1); m = 1, 7 fold
+    # negacyclically where omega^m = -1, m = 2, 18 always cyclically
     rng = random.Random(ell)
     for n in (1, 2, 7, 18):
         coeffs = [rng.randrange(-ell, ell) for _ in range(n)]
-        omega = rng.randrange(2, ell - 1)
-        for count in (0, 1, n - 1, n, n + 1, 2 * n + 3):
+        omega = pow(rng.randrange(2, ell - 1), (ell - 1) // gcd(2 * n, ell - 1), ell)
+        for count in (0, 1, n - 1, n):
             assert regulab._odd_transform(coeffs, count, omega, ell) == odd_transform_direct(
                 coeffs, count, omega, ell), (n, count)
-    extremes = [ell - 1] * 18  # every chirp product at its largest
-    assert regulab._odd_transform(extremes, 20, ell - 1, ell) == odd_transform_direct(
-        extremes, 20, ell - 1, ell)
+    for n in (18, 17):  # every chirp product at its largest; 17 folds negacyclically
+        extremes = [ell - 1] * n
+        assert regulab._odd_transform(extremes, n, ell - 1, ell) == odd_transform_direct(
+            extremes, n, ell - 1, ell)
+
+
+@pytest.mark.parametrize("ell", [37, 4611686018427387847, 715827817])
+def test_odd_transform_refuses_outside_its_contract(monkeypatch, ell):
+    def no_chirp(*args):
+        raise AssertionError("a chirp was built")
+
+    monkeypatch.setattr(regulab, "_chirp", no_chirp)
+    rng = random.Random(ell)
+    for n in (1, 2, 7):
+        coeffs = [rng.randrange(ell) for _ in range(n)]
+        omega = rng.randrange(2, ell - 1)
+        while pow(omega, 2 * n, ell) == 1:
+            omega = rng.randrange(2, ell - 1)
+        with pytest.raises(ValueError, match="omega"):
+            regulab._odd_transform(coeffs, n, omega, ell)
+        for count in (n + 1, -1):
+            with pytest.raises(ValueError, match="count"):
+                regulab._odd_transform(coeffs, count, ell - 1, ell)
 
 
 def mul_mod_schoolbook(a, b, p):
@@ -381,6 +404,54 @@ def test_h_minus_spare_prime_catches_a_wrong_residue(monkeypatch, wrong_call):
     monkeypatch.setattr(regulab, "_odd_character_product", corrupt)
     with pytest.raises(InternalError):
         h_minus(101)
+
+
+def kummer_log_moments(p, offset=0):
+    """M_k = sum_b b^(k+offset) L_b mod p for even k in [2, p-3], where
+    L = log(1 + t) in F_p[zeta]/(zeta^p - 1), t = u/g - 1, g the least
+    primitive root and u = unit_minus(g).
+
+    t is nilpotent (t^p = 0, as u = g mod 1 - zeta), so the series stops
+    at t^(p-1), each power one Kronecker product folded mod zeta^p - 1.
+    zeta d/dzeta is a derivation that sends zeta^b to b zeta^b, and in
+    zeta = e^x it is d/dx, so at zeta = 1 its k-th power takes log u to
+    (g^k - 1) B_k / k (mod p).  Kummer's logarithmic-derivative criterion
+    follows: for even k in [2, p-3], M_k = 0 iff p | B_k (Washington,
+    Introduction to Cyclotomic Fields, Ch. 8; Ribenboim, 13 Lectures on
+    Fermat's Last Theorem, Lecture VI).  u's zeta-power factor adds a
+    multiple of x to log u and so touches only k = 1.  offset != 0 is a
+    control that must break the criterion.
+    """
+    g = primitive_root(p)
+    g_inv = pow(g, -1, p)
+    t = [c * g_inv % p for c in unit_minus(field_ctx(p), g).coeffs] + [0]
+    t[0] = (t[0] - 1) % p
+    log, power = t, t
+    for n in range(2, p):
+        conv = kronecker_mul(power, t, 0, 2 * p - 1) + [0]
+        power = [(x + y) % p for x, y in zip(conv[:p], conv[p:])]
+        coef = (-1) ** (n + 1) * pow(n, -1, p)
+        log = [(a + coef * b) % p for a, b in zip(log, power)]
+    return {k: sum(pow(b, k + offset, p) * c for b, c in enumerate(log)) % p
+            for k in range(2, p - 2, 2)}
+
+
+def test_irregular_pairs_match_kummer_log_derivative():
+    # a third route to the pairs, beside Voronoi's congruence (library)
+    # and the Newton inverse of x/(e^x - 1) (tests)
+    for p in primes_upto(300)[2:]:
+        moments = kummer_log_moments(p)
+        assert [k for k, v in moments.items() if v == 0] == [
+            pair.k for pair in irregular_pairs(p)], p
+
+
+def test_kummer_log_derivative_control_breaks():
+    # weights b^(k+2) in place of b^k miss the pairs at every irregular p
+    primes = primes_upto(200)[2:]
+    broken = [p for p in primes
+              if [k for k, v in kummer_log_moments(p, 2).items() if v == 0]
+              != [pair.k for pair in irregular_pairs(p)]]
+    assert broken == [p for p in primes if irregular_pairs(p)]
 
 
 def test_kummer_criterion_small():
