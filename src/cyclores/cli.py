@@ -57,17 +57,16 @@ from .fltharness import (
 )
 from .ntheory import is_prime
 from .powsym import symbol
-from .regulab import HMINUS_P_MAX, h_minus, irregular_pairs, vandiver_witness
+from .regulab import h_minus, irregular_pairs, vandiver_witness
 from .resfield import ideal_from_modulus, ideal_from_root, ideal_to_json, split_prime
 
-__all__ = ["run", "main", "UsageError", "UNITS_P_MAX", "TELESCOPE_P_MAX", "HMINUS_P_MAX"]
+__all__ = ["run", "main", "UsageError", "UNITS_P_MAX", "TELESCOPE_P_MAX"]
 
 # Exclusive ceilings for the commands whose running time, not memory,
 # outgrows cycint.P_MAX.  units --p makes about 4p products in Z[zeta]
 # and prints about 2p^2 numbers: p = 1021 takes 3.1 s on a 2-core x86-64
 # machine (CPython 3.11).  telescope --pmax replays O(p) steps for each
-# prime up to pmax: 11 s at pmax = 16384 there.  hminus --p takes its
-# ceiling, regulab.HMINUS_P_MAX, from the library.
+# prime up to pmax: 11 s at pmax = 16384 there.  h_minus checks its own.
 UNITS_P_MAX = 1 << 10
 TELESCOPE_P_MAX = 1 << 14
 
@@ -240,10 +239,7 @@ def _cmd_irregular(args) -> int:
 
 
 def _cmd_hminus(args) -> int:
-    if not args.p < HMINUS_P_MAX:
-        raise UsageError(f"hminus needs p < {HMINUS_P_MAX}")
-    value = h_minus(args.p)
-    _emit({"p": args.p, "h_minus": int_to_decimal(value)})
+    _emit({"p": args.p, "h_minus": int_to_decimal(h_minus(args.p))})
     return 0
 
 

@@ -145,7 +145,9 @@ def field_ctx(p: int) -> FieldCtx:
 class CycInt(Frozen):
     """Element of Z[zeta] in canonical form.
 
-    ``coeffs[i]`` is the coefficient of zeta^i, 0 <= i <= p-2.
+    ``coeffs[i]`` is the coefficient of zeta^i, 0 <= i <= p-2.  The ring
+    operations are ``cyc_add``, ``cyc_sub`` and ``cyc_mul``; the class
+    adds only unary minus and ``is_zero`` (every element is truthy).
     """
 
     __slots__ = _fields = ("ctx", "coeffs")
@@ -161,43 +163,8 @@ class CycInt(Frozen):
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __add__(self, other):
-        if isinstance(other, CycInt):
-            return cyc_add(self, other)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, CycInt):
-            return cyc_sub(self, other)
-        return NotImplemented
-
     def __neg__(self) -> CycInt:
         return CycInt(self.ctx, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, CycInt):
-            return cyc_mul(self, other)
-        if isinstance(other, int):
-            return CycInt(self.ctx, tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> CycInt:
-        if e < 0:
-            raise ValueError("negative powers are not defined in Z[zeta]")
-        out = cyc_one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                out = cyc_mul(out, base)
-            e >>= 1
-            if e:
-                base = cyc_mul(base, base)
-        return out
 
 
 def _same_ctx(a: CycInt, b: CycInt) -> None:

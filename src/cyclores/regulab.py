@@ -22,7 +22,8 @@ step works on one-digit ints.
 The witness search is one-sided by design: a nonzero residue symbol of
 the eigencomponent proves it is not a p-th power in the field, while an
 all-zero result is merely inconclusive and is never reported as a
-failure of Vandiver's conjecture.
+failure of Vandiver's conjecture.  By its twist law the eigencomponent's
+symbol at one ideal above q decides every ideal above q.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from math import comb, isqrt
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .cycint import FieldCtx, InternalError, check_p, field_ctx, kronecker_mul
+from .cycint import InternalError, check_p, field_ctx, kronecker_mul
 from .ntheory import is_prime, primitive_root, root_of_unity
 from .powsym import residue_symbol
 from .resfield import PrimeIdealRep, _powers, split_prime
@@ -240,10 +241,10 @@ def _chirp(omega: int, c: int, count: int, ell: int) -> list[int]:
 def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | None:
     """Search the first q_candidates primes q = 1 mod p for a witness.
 
-    Tries every degree-1 ideal above each candidate q in canonical order
-    with :func:`eigencomponent_symbol`.  Returns the first (q, ideal)
-    certificate with e != 0, or None if every candidate yields 0
-    (inconclusive).  The checks on k and q_candidates that need no
+    Evaluates :func:`eigencomponent_symbol` at the first ideal above each
+    candidate q, which decides q by the twist law.  Returns the first
+    (q, ideal) certificate with e != 0, or None if every candidate yields
+    0 (inconclusive).  The checks on k and q_candidates that need no
     Bernoulli data come before ``irregular_pairs``.
     """
     check_p(p)
@@ -262,29 +263,37 @@ def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | Non
         if not is_prime(q):
             continue
         seen += 1
-        for ideal in split_prime(ctx, q):
-            e = eigencomponent_symbol(ctx, k, ideal)
-            if e:
-                return VandiverWitness(IrregularPair(p, k), q, ideal.w, e)
+        ideal = split_prime(ctx, q)[0]
+        e = eigencomponent_symbol(k, ideal)
+        if e:
+            return VandiverWitness(IrregularPair(p, k), q, ideal.w, e)
     return None
 
 
-def eigencomponent_symbol(ctx: FieldCtx, k: int, ideal: PrimeIdealRep) -> int:
-    """Symbol exponent of the k-eigencomponent unit at the given ideal.
+def eigencomponent_symbol(k: int, ideal: PrimeIdealRep) -> int:
+    """Symbol exponent e_k of the k-eigencomponent unit at the given ideal.
 
     Fixes g = smallest primitive root mod p, u = unit_minus(g) and the
     exponent vector n_a = a^(-k) mod p (representatives in [0, p)); the
-    eigencomponent is prod_a sigma_a(u)^(n_a), and its symbol exponent is
-    sum_a n_a * symbol(sigma_a(u)) mod p.  The power product is never
-    expanded in Z[zeta], and neither are the conjugates: the residue of
-    sigma_a(u) is u evaluated at w^a, where
+    eigencomponent is E_k = prod_a sigma_a(u)^(n_a), and its symbol
+    exponent is sum_a n_a * symbol(sigma_a(u)) mod p.  The power product
+    is never expanded in Z[zeta], and neither are the conjugates: the
+    residue of sigma_a(u) is u evaluated at w^a, where
     u = zeta^shift * (1 + zeta + ... + zeta^(g-1)), shift = (1-g)/2 mod p.
     Changing the representatives n_a alters e only by p-th-power
     contributions, so whether e vanishes does not depend on that choice.
+
+    Twist law: e_k(``galois_image``(I, b)) = b^(1-k) e_k(I) (mod p) at any
+    ideal I.  Proof: sigma_c(E_k) is E_k^(c^k) times a p-th power, as
+    sigma_c permutes the conjugates, and the symbol (sigma_c(x)/I) is
+    (x/sigma_c^(-1)(I))^c, so c^k e_k(I) = c e_k(sigma_c^(-1)(I)); put
+    b = 1/c (Washington, Introduction to Cyclotomic Fields, Ch. 8).  As
+    the Galois group permutes the ideals above q transitively, e_k
+    vanishes at all of them or at none.
     """
-    p, q = ctx.p, ideal.q
+    p, q = ideal.ctx.p, ideal.q
     g = primitive_root(p)
-    shift = (1 - g) * ctx.inv2 % p
+    shift = (1 - g) * ideal.ctx.inv2 % p
     points = ideal.w_powers
     total = 0
     for a in range(1, p):

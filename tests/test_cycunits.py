@@ -1,5 +1,6 @@
 import json
 import time
+from functools import reduce
 
 import pytest
 
@@ -62,7 +63,7 @@ def chained_product_check(ctx, plus):
     prod = cyc_one(ctx)
     for u in plus:
         prod = cyc_mul(prod, u)
-    prod = cyc_mul(prod, cyc_new(ctx, [(0, 1), (1, 1)]) ** (ctx.p - 1))
+    prod = reduce(cyc_mul, [cyc_new(ctx, [(0, 1), (1, 1)])] * (ctx.p - 1), prod)
     return prod == zeta_power(ctx, -ctx.inv2 % ctx.p)
 
 

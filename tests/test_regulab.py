@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, prod
 from operator import mul
 
@@ -8,7 +9,7 @@ import pytest
 from cyclores import cycint, regulab
 from cyclores.cycint import InternalError, cyc_mul, cyc_one, field_ctx, galois, kronecker_mul
 from cyclores.cycunits import unit_minus
-from cyclores.ntheory import factorize, is_prime, primes_upto, primitive_root
+from cyclores.ntheory import factorize, is_prime, multiplicative_order, primes_upto, primitive_root
 from cyclores.powsym import symbol
 from cyclores.regulab import (
     IrregularPair,
@@ -18,7 +19,7 @@ from cyclores.regulab import (
     irregular_pairs,
     vandiver_witness,
 )
-from cyclores.resfield import ideal_from_root, split_prime
+from cyclores.resfield import galois_image, ideal_from_root, split_prime
 
 # OEIS A000927: h^- of the p-th cyclotomic field
 H_MINUS_A000927 = {
@@ -522,15 +523,41 @@ def test_eigencomponent_symbol_matches_dense_conjugates():
             pow(pow(a, k, p), -1, p) * symbol(conjugates[a - 1], ideal)
             for a in range(1, p)
         ) % p
-        assert eigencomponent_symbol(ctx, k, ideal) == dense, ideal.w
+        assert eigencomponent_symbol(k, ideal) == dense, ideal.w
 
 
 def test_vandiver_vanishing_is_ideal_independent():
     p, k = 37, 32
     ctx = field_ctx(p)
     w = vandiver_witness(p, k, 10)
-    values = [eigencomponent_symbol(ctx, k, ideal) for ideal in split_prime(ctx, w.q)]
+    values = [eigencomponent_symbol(k, ideal) for ideal in split_prime(ctx, w.q)]
     assert all(v != 0 for v in values)
+
+
+@pytest.mark.parametrize("p", [37, 59, 67, 101])
+def test_eigencomponent_twist_law(p):
+    # e_k(sigma_b(I)) = b^(1-k) e_k(I) for every b, at the ideals above the
+    # least q of each residue degree f <= 4 that occurs; the control
+    # exponent b^(k-1) fails at some nonzero e_k
+    ctx = field_ctx(p)
+    control_failed = False
+    for f in (1, 2, 3, 4):
+        if (p - 1) % f:
+            continue
+        q = next(q for q in range(2, 10**4)
+                 if q != p and is_prime(q) and multiplicative_order(q, p) == f)
+        ideals = split_prime(ctx, q)
+        for pair in irregular_pairs(p):
+            k = pair.k
+            e = {ideal.w: eigencomponent_symbol(k, ideal) for ideal in ideals}
+            first = ideals[0]
+            for b in range(1, p):
+                assert e[galois_image(first, b).w] == pow(b, 1 - k, p) * e[first.w] % p, (q, k, b)
+            control_failed |= any(e[galois_image(first, b).w] != pow(b, k - 1, p) * e[first.w] % p
+                                  for b in range(1, p))
+            if f % 2 == 0:  # sigma_(-1) fixes each ideal, and (-1)^(1-k) = -1
+                assert set(e.values()) == {0}, q
+    assert control_failed
 
 
 def test_vandiver_soundness_against_expanded_product():
@@ -542,7 +569,7 @@ def test_vandiver_soundness_against_expanded_product():
     prod = cyc_one(ctx)
     for a in range(1, p):
         n_a = pow(pow(a, k, p), -1, p)
-        prod = cyc_mul(prod, galois(u, a) ** n_a)
+        prod = reduce(cyc_mul, [galois(u, a)] * n_a, prod)
     w = vandiver_witness(p, k, 10)
     ideal = ideal_from_root(ctx, w.q, w.w)
     assert symbol(prod, ideal) == w.e
