@@ -13,16 +13,21 @@ integers are (``cycint.int_from_json``).  ``verify`` reads the lines
 ``scan`` writes and prints the lines ``fltharness.verify_lines`` makes
 of them; it exits 2 when the last of them counts a failed record.
 
-The argument parser is built once per process, on the first ``run``
-call, and reused by every later one: parsing only reads it.
+Options are read by one walk over argv against a module-level table
+(``_COMMANDS``: each command's help line and, for each option, its
+destination, reader and default or required marker), which is also the
+source of the help text.  The walk reads argv as argparse did, with
+unique prefixes of option names, ``--opt=value`` and the same exit code
+and stdout for every argv, and costs a few microseconds per call
+without importing argparse.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .cycint import (
     coeffs_to_json,
@@ -75,11 +80,6 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 instead of argparse's default 2
-        raise UsageError(message)
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -101,7 +101,7 @@ def _int_arg(text: str) -> int:
     try:
         return int_from_json(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a decimal integer ({len(text)} characters)") from None
+        raise ValueError(f"not a decimal integer ({len(text)} characters)") from None
 
 
 def _int_list_arg(text: str) -> list[int]:
@@ -109,61 +109,188 @@ def _int_list_arg(text: str) -> list[int]:
     try:
         return [int_from_json(item) for item in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of decimal integers ({len(text)} characters)") from None
+        raise ValueError(f"not a list of decimal integers ({len(text)} characters)") from None
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cyclores", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _sign_arg(text: str) -> str:
+    if text not in ("plus", "minus"):
+        raise ValueError("invalid choice (choose from 'plus', 'minus')")
+    return text
 
-    sp = sub.add_parser("split", help="prime ideals above q in the p-th cyclotomic field")
-    sp.add_argument("--p", type=_int_arg, required=True)
-    sp.add_argument("--q", type=_int_arg, required=True)
 
-    sp = sub.add_parser("symbol", help="p-th power residue symbol exponent")
-    sp.add_argument("--p", type=_int_arg, required=True)
-    sp.add_argument("--q", type=_int_arg, required=True)
-    sp.add_argument("--w", type=_int_arg, help="root of unity labelling a degree-1 ideal")
-    sp.add_argument("--modulus", type=_int_list_arg,
-                    help="comma-separated modulus coefficients (f > 1)")
-    sp.add_argument("--alpha", required=True, help="JSON array of p-1 coefficients")
+_REQUIRED = object()
 
-    sp = sub.add_parser("units", help="cyclotomic unit tables and identity checks")
-    sp.add_argument("--p", type=_int_arg, required=True)
+# command -> (help line, {option: (destination, reader, default or
+# _REQUIRED, help)}).  Every reader raises ValueError on a bad value.
+_COMMANDS = {
+    "split": ("prime ideals above q in the p-th cyclotomic field", {
+        "--p": ("p", _int_arg, _REQUIRED, ""),
+        "--q": ("q", _int_arg, _REQUIRED, ""),
+    }),
+    "symbol": ("p-th power residue symbol exponent", {
+        "--p": ("p", _int_arg, _REQUIRED, ""),
+        "--q": ("q", _int_arg, _REQUIRED, ""),
+        "--w": ("w", _int_arg, None, "root of unity labelling a degree-1 ideal"),
+        "--modulus": ("modulus", _int_list_arg, None,
+                      "comma-separated modulus coefficients (f > 1)"),
+        "--alpha": ("alpha", str, _REQUIRED, "JSON array of p-1 coefficients"),
+    }),
+    "units": ("cyclotomic unit tables and identity checks", {
+        "--p": ("p", _int_arg, _REQUIRED, ""),
+    }),
+    "irregular": ("irregular pairs (p, k)", {
+        "--p": ("p", _int_arg, _REQUIRED, ""),
+    }),
+    "hminus": ("relative class number h^-", {
+        "--p": ("p", _int_arg, _REQUIRED, ""),
+    }),
+    "vandiver": ("one-sided eigencomponent witness search", {
+        "--p": ("p", _int_arg, _REQUIRED, ""),
+        "--k": ("k", _int_arg, _REQUIRED, ""),
+        "--candidates": ("candidates", _int_arg, 10, ""),
+    }),
+    "scan": ("factor (x^p +- y^p)/(x +- y) and record symbols", {
+        "--p": ("p", _int_arg, _REQUIRED, ""),
+        "--x": ("x", _int_arg, _REQUIRED, ""),
+        "--y": ("y", _int_arg, _REQUIRED, ""),
+        "--sign": ("sign", _sign_arg, _REQUIRED, "plus or minus"),
+        "--trial-bound": ("trial_bound", _int_arg, 1_000_000, ""),
+        "--out": ("out", str, None, "write JSON lines here instead of stdout"),
+    }),
+    "verify": ("check identities on recorded scans", {
+        "--in": ("infile", str, _REQUIRED, "JSON-lines records file"),
+    }),
+    "telescope": ("replay telescoping symbol chains", {
+        "--pmax": ("pmax", _int_arg, _REQUIRED, ""),
+    }),
+    "barlow": ("evaluate Barlow-Abel relation formats", {
+        "--p": ("p", _int_arg, _REQUIRED, ""),
+        "--x": ("x", _int_arg, _REQUIRED, ""),
+        "--y": ("y", _int_arg, _REQUIRED, ""),
+        "--z": ("z", _int_arg, _REQUIRED, ""),
+    }),
+}
 
-    sp = sub.add_parser("irregular", help="irregular pairs (p, k)")
-    sp.add_argument("--p", type=_int_arg, required=True)
 
-    sp = sub.add_parser("hminus", help="relative class number h^-")
-    sp.add_argument("--p", type=_int_arg, required=True)
+def _help(command: str | None) -> str:
+    """The help text of one command, or of the program for None."""
+    if command is None:
+        usage = f"{{{','.join(_COMMANDS)}}} ..."
+        intro, heading = __doc__.strip(), "commands:"
+        rows = [(name, line) for name, (line, _) in _COMMANDS.items()]
+    else:
+        intro, options = _COMMANDS[command]
+        heading = "options:"
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(f"{name} {dest.upper()}", text) for name, (dest, _, _, text) in options.items()]
+        usage = " ".join([command, "[-h]"] + [
+            shown if spec[2] is _REQUIRED else f"[{shown}]"
+            for (shown, _), spec in zip(rows[1:], options.values())])
+    width = max(len(shown) for shown, _ in rows)
+    lines = [f"usage: cyclores {usage}", "", intro, "", heading]
+    lines += [f"  {shown:{width}}  {text}".rstrip() for shown, text in rows]
+    return "\n".join(lines) + "\n"
 
-    sp = sub.add_parser("vandiver", help="one-sided eigencomponent witness search")
-    sp.add_argument("--p", type=_int_arg, required=True)
-    sp.add_argument("--k", type=_int_arg, required=True)
-    sp.add_argument("--candidates", type=_int_arg, default=10)
 
-    sp = sub.add_parser("scan", help="factor (x^p +- y^p)/(x +- y) and record symbols")
-    sp.add_argument("--p", type=_int_arg, required=True)
-    sp.add_argument("--x", type=_int_arg, required=True)
-    sp.add_argument("--y", type=_int_arg, required=True)
-    sp.add_argument("--sign", choices=("plus", "minus"), required=True)
-    sp.add_argument("--trial-bound", type=_int_arg, default=1_000_000)
-    sp.add_argument("--out", help="write JSON lines here instead of stdout")
+# argparse's test for a token that starts with "-" but is a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_MARK = "--"  # argparse reads every token after it as a value
 
-    sp = sub.add_parser("verify", help="check identities on recorded scans")
-    sp.add_argument("--in", dest="infile", required=True, help="JSON-lines records file")
 
-    sp = sub.add_parser("telescope", help="replay telescoping symbol chains")
-    sp.add_argument("--pmax", type=_int_arg, required=True)
+def _option(token: str, names) -> tuple[str | None, str | None] | None:
+    """How argparse reads one token against the long option names:
+    None for a value, else (name, the value after "=" or None), where
+    the name is "--help" for -h and None for an unknown option.  A name
+    may be shortened to a unique prefix; an exact name wins."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    if token[1] == "-":
+        name, eq, value = token.partition("=")
+        matches = [known for known in names if known.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {name[:40]} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[1] == "h":
+        # -h takes no value: -hh and -h=h repeat it, -hX and -h= fail
+        rest = token[3:] if token[2:3] == "=" else token[2:]
+        return "--help", None if token == "-h" or rest and not rest.strip("h") else rest
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, token.partition("=")[0][:40]
 
-    sp = sub.add_parser("barlow", help="evaluate Barlow-Abel relation formats")
-    sp.add_argument("--p", type=_int_arg, required=True)
-    sp.add_argument("--x", type=_int_arg, required=True)
-    sp.add_argument("--y", type=_int_arg, required=True)
-    sp.add_argument("--z", type=_int_arg, required=True)
 
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Read argv left to right as the option table says, with argparse's
+    exit code and stdout for every argv.  Prints the help text and
+    returns None at the first -h or --help, unless a token before it
+    failed to convert; raises UsageError on a bad token, and after the
+    walk on an unknown option or a missing required one.  No error
+    echoes a value."""
+    unknown = []
+    for index, token in enumerate(argv):
+        kind = None if token == _MARK else _option(token, ("--help",))
+        if kind is None:
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise UsageError(f"argument command: invalid choice (choose from {choices})")
+            break
+        name, value = kind
+        if name is None:
+            unknown.append(value)
+        elif value is not None:
+            raise UsageError("argument -h/--help: ignored explicit argument")
+        else:
+            print(_help(None), end="")
+            return None
+    else:
+        raise UsageError("the following arguments are required: command")
+    command, tokens = token, argv[index + 1:]
+    options = _COMMANDS[command][1]
+    names = (*options, "--help")
+    # no option takes "--" or a token after it: each is a stray value
+    stray = _MARK in tokens
+    if stray:
+        tokens = tokens[:tokens.index(_MARK)]
+    kinds = [_option(token, names) for token in tokens]
+    args = SimpleNamespace(command=command,
+                           **{dest: default for dest, _, default, _ in options.values()})
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i]
+        i += 1
+        if kind is None:
+            stray = True
+            continue
+        name, value = kind
+        if name is None:
+            unknown.append(value)
+            continue
+        if name == "--help":
+            if value is not None:
+                raise UsageError("argument -h/--help: ignored explicit argument")
+            print(_help(command), end="")
+            return None
+        if value is None:
+            if i == len(tokens) or kinds[i] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            value = tokens[i]
+            i += 1
+        dest, reader, _, _ = options[name]
+        try:
+            setattr(args, dest, reader(value))
+        except ValueError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+    missing = [name for name, (dest, _, _, _) in options.items()
+               if getattr(args, dest) is _REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown or stray:
+        what = unknown[0] if unknown else "a value no option takes"
+        raise UsageError(f"unrecognized arguments: {what}")
+    return args
 
 
 def _cmd_split(args) -> int:
@@ -336,10 +463,8 @@ _HANDLERS = {
 def run(argv: list[str] | None = None) -> int:
     """Parse and dispatch; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
-    except SystemExit as exc:  # argparse's exit after --help printed its text
-        return exc.code
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else _HANDLERS[args.command](args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

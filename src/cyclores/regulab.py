@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 from .cycint import InternalError, check_p, field_ctx, kronecker_mul
 from .ntheory import is_prime, primitive_root, root_of_unity
 from .powsym import residue_symbol
-from .resfield import PrimeIdealRep, _powers, split_prime
+from .resfield import PrimeIdealRep, _powers, ideal_from_root
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -206,8 +206,9 @@ def _odd_transform(coeffs: list[int], count: int, omega: int, ell: int) -> list[
     Chirp-z (Bluestein): 2kt = k^2 + t^2 - (k-t)^2 makes the k-th value
     sum_t A_t B_(k-t) with A_t = c_t omega^(t^2+t) and B_d = omega^(-d^2),
     -m < k-t < m.  As omega^(2m) = 1, B_(d+m) = s B_d with
-    s = omega^(-m^2) = +-1, so with L the product of A and B_0..B_(m-1),
-    one Kronecker-packed m x m integer product, the value is
+    s = omega^(-m^2) = +-1, and B_(m-d) = s B_d, so only B_0..B_(m//2)
+    are walked and the rest mirrored.  With L the product of A and
+    B_0..B_(m-1), one Kronecker-packed m x m integer product, the value is
     L_k + s L_(k+m): a cyclic fold for s = 1 (m even), a negacyclic one
     for s = -1 (m odd and omega^m = -1).  A digit of L sums at most m
     products of residues below ell, so it fits 8 bytes where ell^2 m < 2^63.
@@ -219,10 +220,13 @@ def _odd_transform(coeffs: list[int], count: int, omega: int, ell: int) -> list[
         raise ValueError(f"count must be in [0, {m}]")
     if pow(omega, 2 * m, ell) != 1:
         raise ValueError("omega^(2m) must be 1 modulo ell")
+    cyclic = pow(omega, m * m, ell) == 1
     chirp_a = [c * z % ell for c, z in zip(coeffs, _chirp(omega, 1, m, ell))]
-    chirp_b = _chirp(pow(omega, -1, ell), 0, m, ell)
+    chirp_b = _chirp(pow(omega, -1, ell), 0, m // 2 + 1, ell)
+    mirror = chirp_b[(m - 1) // 2:0:-1]
+    chirp_b += mirror if cyclic else [ell - b for b in mirror]
     conv = kronecker_mul(chirp_a, chirp_b, 0, 2 * m - 1) + [0]
-    if pow(omega, m * m, ell) == 1:
+    if cyclic:
         return [(x + y) % ell for x, y in zip(conv[:count], conv[m:])]
     return [(x - y) % ell for x, y in zip(conv[:count], conv[m:])]
 
@@ -242,9 +246,10 @@ def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | Non
     """Search the first q_candidates primes q = 1 mod p for a witness.
 
     Evaluates :func:`eigencomponent_symbol` at the first ideal above each
-    candidate q, which decides q by the twist law.  Returns the first
-    (q, ideal) certificate with e != 0, or None if every candidate yields
-    0 (inconclusive).  The checks on k and q_candidates that need no
+    candidate q, which decides q by the twist law: the degree-1 ideal of
+    the least p-th root of unity w mod q, built alone, as q is not split.
+    Returns the first (q, ideal) certificate with e != 0, or None if every
+    candidate yields 0 (inconclusive).  The checks on k and q_candidates that need no
     Bernoulli data come before ``irregular_pairs``.
     """
     check_p(p)
@@ -263,7 +268,9 @@ def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | Non
         if not is_prime(q):
             continue
         seen += 1
-        ideal = split_prime(ctx, q)[0]
+        # q = 1 (mod p) has f = 1: its least root names split_prime's first ideal
+        w = min(_powers(root_of_unity(p, q), p, lambda a, b: a * b % q)[1:])
+        ideal = ideal_from_root(ctx, q, w)
         e = eigencomponent_symbol(k, ideal)
         if e:
             return VandiverWitness(IrregularPair(p, k), q, ideal.w, e)

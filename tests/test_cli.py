@@ -1,4 +1,8 @@
+import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import random
@@ -38,12 +42,12 @@ def one_json(out):
 
 def test_import_loads_no_heavy_stdlib_modules():
     # each request runs in a fresh process, which pays for every module
-    # the import pulls in; nothing on that path needs these four
+    # the import pulls in; nothing on that path needs these six
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import cyclores.cli\n"
-        "heavy = {'dataclasses', 'fractions', 'inspect', 'decimal'}\n"
+        "heavy = {'dataclasses', 'fractions', 'inspect', 'decimal', 'argparse', 'gettext'}\n"
         "print(sorted(heavy & (set(sys.modules) - before)))\n"
     )
     src = str(Path(cyclores.__file__).resolve().parents[1])
@@ -542,17 +546,6 @@ def test_help_returns_0(capsys, argv):
     assert err == ""
 
 
-def test_parser_built_once_and_reused(capsys):
-    good = SYMBOL5 + ["--alpha", "[2,1,0,0]"]
-    cli._build_parser.cache_clear()
-    first = run_cli(capsys, *good)
-    assert run_cli(capsys, "hminus", "--bogus")[0] == 1
-    assert run_cli(capsys, *SYMBOL5, "--alpha", "[null,1,2,3]")[0] == 1
-    assert run_cli(capsys, "hminus", "--help")[0] == 0
-    assert run_cli(capsys, *good) == first == (0, '{"alpha":["2","1","0","0"],"q":11,"w":"3","e":1}\n', "")
-    assert cli._build_parser.cache_info().misses == 1
-
-
 FUZZ_VALUES = [None, True, False, 1.5, -0.0, "", "x", "12a", "1e3", [], [1], {}, {"a": 1}, 2**70,
                1]  # 1: a well-formed value that is wrong in most fields
 
@@ -766,6 +759,134 @@ def test_contract_fuzzer_over_every_command(capsys, tmp_path):
     assert set(codes) == set(cli._HANDLERS)
     assert set().union(*codes.values()) == {0, 1, 2}
     assert all(0 in got and 1 in got for got in codes.values()), codes
+
+
+# The option reader's oracle: the argparse parser the CLI used before its
+# option table, which must read every argv alike: the same values, both a
+# usage error, or both the help text with the same exit code.
+class OracleParser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 instead of argparse's default 2
+        raise cli.UsageError(message)
+
+
+@functools.cache
+def oracle_parser():
+    _int_arg, _int_list_arg = cli._int_arg, cli._int_list_arg
+    parser = OracleParser(prog="cyclores", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=OracleParser)
+
+    sp = sub.add_parser("split", help="prime ideals above q in the p-th cyclotomic field")
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--q", type=_int_arg, required=True)
+
+    sp = sub.add_parser("symbol", help="p-th power residue symbol exponent")
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--q", type=_int_arg, required=True)
+    sp.add_argument("--w", type=_int_arg, help="root of unity labelling a degree-1 ideal")
+    sp.add_argument("--modulus", type=_int_list_arg,
+                    help="comma-separated modulus coefficients (f > 1)")
+    sp.add_argument("--alpha", required=True, help="JSON array of p-1 coefficients")
+
+    sp = sub.add_parser("units", help="cyclotomic unit tables and identity checks")
+    sp.add_argument("--p", type=_int_arg, required=True)
+
+    sp = sub.add_parser("irregular", help="irregular pairs (p, k)")
+    sp.add_argument("--p", type=_int_arg, required=True)
+
+    sp = sub.add_parser("hminus", help="relative class number h^-")
+    sp.add_argument("--p", type=_int_arg, required=True)
+
+    sp = sub.add_parser("vandiver", help="one-sided eigencomponent witness search")
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--k", type=_int_arg, required=True)
+    sp.add_argument("--candidates", type=_int_arg, default=10)
+
+    sp = sub.add_parser("scan", help="factor (x^p +- y^p)/(x +- y) and record symbols")
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--x", type=_int_arg, required=True)
+    sp.add_argument("--y", type=_int_arg, required=True)
+    sp.add_argument("--sign", choices=("plus", "minus"), required=True)
+    sp.add_argument("--trial-bound", type=_int_arg, default=1_000_000)
+    sp.add_argument("--out", help="write JSON lines here instead of stdout")
+
+    sp = sub.add_parser("verify", help="check identities on recorded scans")
+    sp.add_argument("--in", dest="infile", required=True, help="JSON-lines records file")
+
+    sp = sub.add_parser("telescope", help="replay telescoping symbol chains")
+    sp.add_argument("--pmax", type=_int_arg, required=True)
+
+    sp = sub.add_parser("barlow", help="evaluate Barlow-Abel relation formats")
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--x", type=_int_arg, required=True)
+    sp.add_argument("--y", type=_int_arg, required=True)
+    sp.add_argument("--z", type=_int_arg, required=True)
+
+    return parser
+
+
+def read_options(parse, argv):
+    """argv as parse reads it: ("values", the values), ("error", the
+    message) or ("help", the exit code)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(argv)
+    except cli.UsageError as exc:
+        assert out.getvalue() == ""
+        return "error", str(exc)
+    except SystemExit as exc:  # argparse's exit after it printed the help text
+        args, code = None, exc.code
+    else:
+        code = 0
+    if args is None:
+        assert out.getvalue().startswith("usage: cyclores")
+        return "help", code
+    assert out.getvalue() == ""
+    return "values", vars(args)
+
+
+SCAN5_OUT = SCAN5 + ["--out"]
+# the option reader's contract, case by case: both spellings of a value,
+# unique prefixes, the last occurrence, values that start with "-", help
+# where it stands, and errors found during or after the walk
+OPTION_CASES = [
+    ["hminus", "--p", "37"], ["hminus", "--p=37"], ["hminus", "--p="], ["hminus", "--p"],
+    ["telescope", "--p", "13"], ["telescope", "--pm=13"], ["vandiver", "--p", "37", "--k", "32"],
+    ["vandiver", "--p", "37", "--k", "32", "--cand", "3"], SCAN5 + ["--trial", "10"],
+    SYMBOL5[:-2] + ["--mod", "8,1", "--alpha", "[1,0,0,0]"], ["verify", "--i", "f.jsonl"],
+    ["hminus", "--p", "5", "--p", "37"], ["hminus", "--p", "x", "--p", "37"],
+    ["barlow", "--p", "5", "--x", "31", "--y", "1", "--z", "-2"],
+    ["barlow", "--p", "5", "--x", "-3.5", "--y", "1", "--z", "-.5"],
+    SCAN5_OUT + ["--foo"], SCAN5_OUT + ["-"], SCAN5_OUT + ["-5"], SCAN5_OUT + ["-x"],
+    SCAN5_OUT + ["--x"], SCAN5_OUT + ["-h"], SCAN5_OUT + ["x y"],
+    SCAN5[:-1] + ["zero"], SCAN5[:-1] + ["--p"],
+    ["--help"], ["-h"], ["--he"], ["hminus", "--help"], ["hminus", "--p", "37", "--he"],
+    ["scan", "-h"], ["hminus", "--p", "x", "--help"], ["hminus", "--bogus", "1", "--help"],
+    ["--bogus", "hminus", "--help"], ["hminus", "--help", "--p", "x"], ["hminus", "--p", "--help"],
+    ["hminus", "--p", "37", "--precision", "256"], ["hminus", "--p", "37", "--precision=256"],
+    ["--bogus", "hminus", "--p", "37"], ["hminus", "--p", "37", "38"],
+    ["hminus"], ["scan", "--p", "5"], [], ["bogus"],
+]
+
+
+def test_option_table_reads_argv_as_argparse_did():
+    # the contract fuzzer's draws, parsed only, and the cases above; no
+    # error message echoes a value
+    rng = random.Random(20130425)
+    files = dict.fromkeys(["genuine", "missing", "out"], "records.jsonl")
+    draws = [fuzz_argv(rng, files) for _ in range(2000)] + OPTION_CASES
+    kinds = set()
+    for argv in draws:
+        want, got = read_options(oracle_parser().parse_args, argv), read_options(cli._parse, argv)
+        kinds.add(want[0])
+        if want[0] == "error":
+            assert got[0] == "error", argv
+            assert len(got[1]) < 190 and not any(
+                token in got[1] for token in argv
+                if len(token) > 5 and token[0] != "-" and token not in cli._COMMANDS), argv
+        else:
+            assert got == want, argv
+    assert kinds == {"values", "error", "help"}
 
 
 def test_inert_split_is_fast(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -13,6 +14,7 @@ from cyclores.ntheory import factorize, is_prime, multiplicative_order, primes_u
 from cyclores.powsym import symbol
 from cyclores.regulab import (
     IrregularPair,
+    VandiverWitness,
     bernoulli,
     eigencomponent_symbol,
     h_minus,
@@ -233,6 +235,32 @@ def test_odd_transform_matches_direct_sum(ell):
         extremes = [ell - 1] * n
         assert regulab._odd_transform(extremes, n, ell - 1, ell) == odd_transform_direct(
             extremes, n, ell - 1, ell)
+
+
+def odd_transform_unmirrored(coeffs, count, omega, ell):
+    """_odd_transform with its B chirp walked over all of B_0..B_(m-1)."""
+    m = len(coeffs)
+    chirp_a = [c * z % ell for c, z in zip(coeffs, regulab._chirp(omega, 1, m, ell))]
+    chirp_b = regulab._chirp(pow(omega, -1, ell), 0, m, ell)
+    conv = kronecker_mul(chirp_a, chirp_b, 0, 2 * m - 1) + [0]
+    s = pow(omega, -m * m, ell)
+    return [(x + s * y) % ell for x, y in zip(conv[:count], conv[m:])]
+
+
+@pytest.mark.parametrize("ell", [37, 4611686018427387847, 715827817])
+def test_odd_transform_b_chirp_mirror(ell):
+    # B_(m-d) = s B_d with s = omega^(-m^2) = +-1, which the transform
+    # uses to walk only half of B; m = 1 and 2 have no mirrored entry
+    rng = random.Random(ell + 1)
+    for n in (1, 2, 3, 4, 9, 18, 35, 36):
+        omega = pow(rng.randrange(2, ell - 1), (ell - 1) // gcd(2 * n, ell - 1), ell)
+        chirp_b = regulab._chirp(pow(omega, -1, ell), 0, n, ell)
+        s = pow(omega, -n * n, ell)
+        assert s in (1, ell - 1)
+        assert all(chirp_b[n - d] == s * chirp_b[d] % ell for d in range(1, n)), n
+        coeffs = [rng.randrange(ell) for _ in range(n)]
+        assert regulab._odd_transform(coeffs, n, omega, ell) == odd_transform_unmirrored(
+            coeffs, n, omega, ell), n
 
 
 @pytest.mark.parametrize("ell", [37, 4611686018427387847, 715827817])
@@ -468,6 +496,27 @@ def test_vandiver_witness_regression():
     # determinism
     again = vandiver_witness(37, 32, 10)
     assert again == w
+
+
+def vandiver_witness_by_split(p, k, q_candidates):
+    """The witness search over split_prime's first ideal of each candidate."""
+    ctx = field_ctx(p)
+    for q in itertools.islice(filter(is_prime, itertools.count(2 * p + 1, 2 * p)), q_candidates):
+        ideal = split_prime(ctx, q)[0]
+        e = eigencomponent_symbol(k, ideal)
+        if e:
+            return VandiverWitness(IrregularPair(p, k), ideal.q, ideal.w, e)
+    return None
+
+
+def test_vandiver_witness_matches_split_oracle():
+    # every irregular pair below 500, the three of 491 included
+    pairs = [pair for p in primes_upto(500)[1:] for pair in irregular_pairs(p)]
+    assert len(pairs) == 34 and [pair.k for pair in pairs if pair.p == 491] == [292, 336, 338]
+    for pair in pairs:
+        for candidates in (1, 10):
+            assert vandiver_witness(pair.p, pair.k, candidates) == vandiver_witness_by_split(
+                pair.p, pair.k, candidates), pair
 
 
 def test_vandiver_witness_preconditions():
