@@ -19,22 +19,27 @@ __all__ = [
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_JAESCHKE_BASES = (2, 7, 61)
+_JAESCHKE_LIMIT = 4759123141
 _SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
     """Sieve lookup below 2^11, one gcd with the primes below 2^11, then
-    strong-pseudoprime tests.
+    strong-pseudoprime tests to one of three base sets.
 
-    Below 2^64 the bases are Jim Sinclair's seven (2011), each reduced
-    mod n and a 0 skipped, which admit no composite there: checked
-    against Feitsma and Galway's list of every base-2 strong pseudoprime
-    below 2^64.  Above, they are the twelve primes 2..37, which admit none
-    below PSI_12 (about 3.19e23), the least composite passing them all
-    (Sorenson and Webster, Math. Comp. 86 (2017)).  False is always
-    proven, by a divisor or a witness base; an n >= PSI_12 that passes
-    every base raises ValueError instead of returning True.
+    Below 4 759 123 141 = 48781 * 97561, the least composite that is a
+    strong pseudoprime to 2, 7 and 61 (Jaeschke, Math. Comp. 61 (1993)),
+    the bases are those three.  Below 2^64 they are Jim Sinclair's seven
+    (2011), each reduced mod n and a 0 skipped, which admit no composite
+    there: checked against Feitsma and Galway's list of every base-2
+    strong pseudoprime below 2^64.  Above, they are the twelve primes
+    2..37, which admit none below PSI_12 (about 3.19e23), the least
+    composite passing them all (Sorenson and Webster, Math. Comp. 86
+    (2017)).  False is always proven, by a divisor or a witness base; an
+    n >= PSI_12 that passes every base raises ValueError instead of
+    returning True.
     """
     if n < 2048:
         return n in _SMALL_PRIMES
@@ -43,7 +48,9 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _SINCLAIR_BASES if n < 1 << 64 else _MR_BASES:
+    bases = (_JAESCHKE_BASES if n < _JAESCHKE_LIMIT
+             else _SINCLAIR_BASES if n < 1 << 64 else _MR_BASES)
+    for a in bases:
         if a % n == 0:  # n divides a Sinclair base
             continue
         x = pow(a, d, n)
@@ -109,12 +116,15 @@ def root_of_unity(n: int, q: int) -> int:
     """The first u^((q-1)/n), u = 1, 2, ..., of order exactly n mod the prime q.
 
     n must divide q - 1; with n = q - 1 this is the least primitive root.
+    u = 1 has order 1, so the search starts at u = 2 once n > 1.
     """
     if n < 1 or (q - 1) % n:
         raise ValueError(f"n={n} does not divide q - 1 = {q - 1}")
+    if n == 1:
+        return 1
     cofactor = (q - 1) // n
     primes = tuple(factorize(n))
-    for u in range(1, q):
+    for u in range(2, q):
         w = pow(u, cofactor, q)
         if all(pow(w, n // r, q) != 1 for r in primes):
             return w

@@ -5,25 +5,34 @@ modulo p, the relative class number h^- rebuilt by CRT from its
 residues modulo word primes under an exact bound on h^- itself, and
 one-sided witnesses that a cyclotomic-unit eigencomponent is not a
 p-th power.  The irregular pairs and each residue of h^- are values of
-one chirp-z transform, ``_odd_transform``, of m = (p-1)/2 coefficients
-at an omega of order 2m: its chirp repeats up to sign with period m, so
-Bluestein's convolution folds to one m x m Kronecker product.
+one chirp-z convolution, ``_odd_convolution``, of m = (p-1)/2
+coefficients at an omega with omega^m = +-1: its chirp repeats up to
+sign with period m, so Bluestein's convolution folds to one m x m
+Kronecker product.  Voronoi's polynomial G, whose values at the odd
+powers of g decide the irregular pairs, has one coefficient list
+(``_voronoi_coeffs``): ``irregular_pairs`` transforms it at every k,
+while ``vandiver_witness`` checks its one k by Horner's rule.
 
 Every function taking a prime p accepts only odd primes p < P_MAX = 2^20
 (``cycint.check_p``) and raises ValueError otherwise, before it builds
 any table of about p entries.  ``h_minus`` also needs p < HMINUS_P_MAX,
-and ``irregular_pairs``, so ``vandiver_witness`` too, p < IRREGULAR_P_MAX.
+and ``irregular_pairs`` and ``vandiver_witness`` p < IRREGULAR_P_MAX,
+which ``_voronoi_coeffs`` enforces for both.
 
 A word prime of h^- at p = 2m + 1 is a prime l = 1 (mod p-1) with
 l^2 m < 2^63.  Every digit of its transform's product, a sum of at most
 m products of residues below l, then fits in 8 bytes, and every other
-step works on one-digit ints.
+step works on one-digit ints.  Each such l is below 2^32, and so is each
+witness candidate q = mp + 1 with m < 2^32/p: ``is_prime`` proves both
+in three rounds.
 
 The witness search is one-sided by design: a nonzero residue symbol of
 the eigencomponent proves it is not a p-th power in the field, while an
 all-zero result is merely inconclusive and is never reported as a
-failure of Vandiver's conjecture.  By its twist law the eigencomponent's
-symbol at one ideal above q decides every ideal above q.
+failure of Vandiver's conjecture.  The eigencomponent's symbol is one
+power map of one residue, the product of the conjugates' residues each
+raised to its weight, and by its twist law its value at one ideal above
+q decides every ideal above q.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 from .cycint import InternalError, check_p, field_ctx, kronecker_mul
 from .ntheory import is_prime, primitive_root, root_of_unity
 from .powsym import residue_symbol
-from .resfield import PrimeIdealRep, _powers, ideal_from_root
+from .resfield import PrimeIdealRep, _fmul, _fpow, _ftup, _powers, ideal_from_root
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -118,17 +127,28 @@ def irregular_pairs(p: int) -> list[IrregularPair]:
     least primitive root and 2 <= k <= p-3, g^k - 1, k and g are units,
     so p | B_k iff the sum vanishes.  Pairing j with p - j halves it, as
     floor((p-j)g/p) = g - 1 - floor(jg/p) and (p-j)^(k-1) = -j^(k-1):
-    over j = g^i mod p, i < m = (p-1)/2, it is G(g^(k-1)) with
-    G(T) = sum_i c_i T^i, c_i = 2 floor(g (g^i mod p)/p) - g + 1.  With
-    k - 1 = 2k' + 1, k' < m - 1, one ``_odd_transform`` gives them all.
+    over j = g^i mod p, i < m = (p-1)/2, it is G(g^(k-1)) with G from
+    ``_voronoi_coeffs``.  With k - 1 = 2k' + 1, k' < m - 1, one
+    ``_odd_transform`` gives them all.
+    """
+    g, coeffs = _voronoi_coeffs(p)
+    values = _odd_transform(coeffs, (p - 3) // 2, g, p)
+    return [IrregularPair(p, 2 * k + 2) for k, v in enumerate(values) if v == 0]
+
+
+def _voronoi_coeffs(p: int) -> tuple[int, list[int]]:
+    """g, the least primitive root, and the coefficients
+    c_i = 2 floor(g (g^i mod p)/p) - g + 1, i < (p-1)/2, of Voronoi's G:
+    p | B_k iff G(g^(k-1)) = 0 (mod p) for even k in [2, p-3].
+
+    ValueError unless p is an odd prime below IRREGULAR_P_MAX, before
+    any table is built.
     """
     check_p(p)
     if p >= IRREGULAR_P_MAX:
         raise ValueError(f"irregular pairs need p < {IRREGULAR_P_MAX}")
     g = primitive_root(p)
-    coeffs = [2 * (g * a // p) - g + 1 for a in _powers(g, (p - 1) // 2, lambda a, b: a * b % p)]
-    values = _odd_transform(coeffs, (p - 3) // 2, g, p)
-    return [IrregularPair(p, 2 * k + 2) for k, v in enumerate(values) if v == 0]
+    return g, [2 * (g * a // p) - g + 1 for a in _powers(g, (p - 1) // 2, lambda a, b: a * b % p)]
 
 
 def h_minus(p: int) -> int:
@@ -194,47 +214,68 @@ def _odd_character_product(coeffs: list[int], n: int, ell: int) -> int:
     m = len(coeffs)
     omega = root_of_unity(n, ell)
     total = pow(omega, (m - 1) * m * (2 * m - 1) // 6 % n, ell)
-    for value in _odd_transform(coeffs, m, omega, ell):
-        total = total * value % ell
+    conv, s = _odd_convolution(coeffs, omega, ell)
+    for x, y in zip(conv, conv[m:]):
+        total = total * (x + s * y) % ell
     return total
 
 
 def _odd_transform(coeffs: list[int], count: int, omega: int, ell: int) -> list[int]:
-    """G(omega^(2k+1)) * omega^(-k^2) mod ell for k < count, ell prime,
-    G(T) = sum_t coeffs[t] T^t and omega^(2m) = 1 (mod ell), m = len(coeffs).
+    """G(omega^(2k+1)) * omega^(-k^2) mod ell for k < count, where
+    G(T) = sum_t coeffs[t] T^t, from ``_odd_convolution``'s fold.
+
+    ValueError unless 0 <= count <= len(coeffs) and omega meets
+    ``_odd_convolution``'s contract, before any chirp is built.
+    """
+    m = len(coeffs)
+    if not 0 <= count <= m:
+        raise ValueError(f"count must be in [0, {m}]")
+    conv, s = _odd_convolution(coeffs, omega, ell)
+    return [(x + s * y) % ell for x, y in zip(conv[:count], conv[m:])]
+
+
+def _odd_convolution(coeffs: list[int], omega: int, ell: int) -> tuple[list[int], int]:
+    """(L, s) with G(omega^(2k+1)) * omega^(-k^2) = L_k + s L_(k+m) (mod
+    ell) for k < m = len(coeffs), G(T) = sum_t coeffs[t] T^t.
+
+    The contract: ell > 1 and omega^m = +-1 (mod ell), so omega is a unit
+    with omega^(2m) = 1; ell need not be prime.  At a prime ell,
+    omega^(2m) = 1 alone implies omega^m = +-1, which a composite ell
+    such as p^3 does not give, so the check is on omega^m.
 
     Chirp-z (Bluestein): 2kt = k^2 + t^2 - (k-t)^2 makes the k-th value
     sum_t A_t B_(k-t) with A_t = c_t omega^(t^2+t) and B_d = omega^(-d^2),
     -m < k-t < m.  As omega^(2m) = 1, B_(d+m) = s B_d with
     s = omega^(-m^2) = +-1, and B_(m-d) = s B_d, so only B_0..B_(m//2)
-    are walked and the rest mirrored.  With L the product of A and
-    B_0..B_(m-1), one Kronecker-packed m x m integer product, the value is
-    L_k + s L_(k+m): a cyclic fold for s = 1 (m even), a negacyclic one
-    for s = -1 (m odd and omega^m = -1).  A digit of L sums at most m
-    products of residues below ell, so it fits 8 bytes where ell^2 m < 2^63.
-    ValueError unless 0 <= count <= m and omega^(2m) = 1, before any
-    chirp is built.
+    are walked and the rest mirrored; A is scaled by c_t within its walk.
+    L, the product of A and B_0..B_(m-1) padded by one 0 to 2m entries,
+    is one Kronecker-packed m x m integer product, and the fold is cyclic
+    for s = 1 (m even or omega^m = 1) and negacyclic for s = -1.  A digit
+    of L sums at most m products of residues below ell, so it fits 8
+    bytes where ell^2 m < 2^63.  ValueError outside the contract, before
+    any chirp is built.
     """
     m = len(coeffs)
-    if not 0 <= count <= m:
-        raise ValueError(f"count must be in [0, {m}]")
-    if pow(omega, 2 * m, ell) != 1:
-        raise ValueError("omega^(2m) must be 1 modulo ell")
-    cyclic = pow(omega, m * m, ell) == 1
-    chirp_a = [c * z % ell for c, z in zip(coeffs, _chirp(omega, 1, m, ell))]
-    chirp_b = _chirp(pow(omega, -1, ell), 0, m // 2 + 1, ell)
-    mirror = chirp_b[(m - 1) // 2:0:-1]
-    chirp_b += mirror if cyclic else [ell - b for b in mirror]
-    conv = kronecker_mul(chirp_a, chirp_b, 0, 2 * m - 1) + [0]
-    if cyclic:
-        return [(x + y) % ell for x, y in zip(conv[:count], conv[m:])]
-    return [(x - y) % ell for x, y in zip(conv[:count], conv[m:])]
-
-
-def _chirp(omega: int, c: int, count: int, ell: int) -> list[int]:
-    """omega^(s^2 + c*s) mod ell for s < count, by the ratios omega^(2s+1+c)."""
+    half = pow(omega, m, ell)
+    if half not in (1, ell - 1):
+        raise ValueError("omega^m must be 1 or -1 modulo ell")
+    s = 1 if half == 1 or m % 2 == 0 else -1
     omega2 = omega * omega % ell
-    out, cur, step = [], 1, pow(omega, 1 + c, ell)
+    chirp_a, z, step = [], 1, omega2
+    for c in coeffs:  # z = omega^(t^2+t), by the ratios omega^(2t+2)
+        chirp_a.append(c * z % ell)
+        z = z * step % ell
+        step = step * omega2 % ell
+    chirp_b = _chirp(pow(omega, -1, ell), m // 2 + 1, ell)
+    mirror = chirp_b[(m - 1) // 2:0:-1]
+    chirp_b += mirror if s == 1 else [ell - b for b in mirror]
+    return kronecker_mul(chirp_a, chirp_b, 0, 2 * m - 1) + [0], s
+
+
+def _chirp(omega: int, count: int, ell: int) -> list[int]:
+    """omega^(d^2) mod ell for d < count, by the ratios omega^(2d+1)."""
+    omega2 = omega * omega % ell
+    out, cur, step = [], 1, omega
     for _ in range(count):
         out.append(cur)
         cur = cur * step % ell
@@ -245,19 +286,27 @@ def _chirp(omega: int, c: int, count: int, ell: int) -> list[int]:
 def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | None:
     """Search the first q_candidates primes q = 1 mod p for a witness.
 
-    Evaluates :func:`eigencomponent_symbol` at the first ideal above each
-    candidate q, which decides q by the twist law: the degree-1 ideal of
-    the least p-th root of unity w mod q, built alone, as q is not split.
-    Returns the first (q, ideal) certificate with e != 0, or None if every
-    candidate yields 0 (inconclusive).  The checks on k and q_candidates that need no
-    Bernoulli data come before ``irregular_pairs``.
+    (p, k) must be an irregular pair, which is checked at k alone: one
+    Horner evaluation of Voronoi's G (``_voronoi_coeffs``) at g^(k-1) mod
+    p, which vanishes iff p | B_k, with no transform over every k.  Then
+    :func:`eigencomponent_symbol` is evaluated at the first ideal above
+    each candidate q, which decides q by the twist law: the degree-1
+    ideal of the least p-th root of unity w mod q, built alone, as q is
+    not split.  Returns the first (q, ideal) certificate with e != 0, or
+    None if every candidate yields 0 (inconclusive).  The checks on k and
+    q_candidates that need no Bernoulli data come before
+    ``_voronoi_coeffs``, which refuses p >= IRREGULAR_P_MAX.
     """
     check_p(p)
     if k % 2 or not 2 <= k <= p - 3:
         raise ValueError(f"k must be even and in [2, p-3] for p = {p}")
     if q_candidates < 1:
         raise ValueError("q_candidates must be >= 1")
-    if IrregularPair(p, k) not in irregular_pairs(p):
+    g, coeffs = _voronoi_coeffs(p)
+    t, value = pow(g, k - 1, p), 0
+    for c in reversed(coeffs):
+        value = (value * t + c) % p
+    if value:
         raise ValueError(f"k is not the index of an irregular pair of p = {p}")
     ctx = field_ctx(p)
     seen = 0
@@ -287,8 +336,12 @@ def eigencomponent_symbol(k: int, ideal: PrimeIdealRep) -> int:
     is never expanded in Z[zeta], and neither are the conjugates: the
     residue of sigma_a(u) is u evaluated at w^a, where
     u = zeta^shift * (1 + zeta + ... + zeta^(g-1)), shift = (1-g)/2 mod p.
-    Changing the representatives n_a alters e only by p-th-power
-    contributions, so whether e vanishes does not depend on that choice.
+    As the symbol is a homomorphism to Z/p, that sum is the symbol of the
+    one residue prod_a u(w^a)^(n_a), taken in the residue field with
+    a = g^i and n_a = g^(-ik) walked together; so one power map serves
+    every conjugate, at any f.  Changing the representatives n_a alters
+    e only by p-th-power contributions, so whether e vanishes does not
+    depend on that choice.
 
     Twist law: e_k(``galois_image``(I, b)) = b^(1-k) e_k(I) (mod p) at any
     ideal I.  Proof: sigma_c(E_k) is E_k^(c^k) times a p-th power, as
@@ -298,16 +351,20 @@ def eigencomponent_symbol(k: int, ideal: PrimeIdealRep) -> int:
     the Galois group permutes the ideals above q transitively, e_k
     vanishes at all of them or at none.
     """
-    p, q = ideal.ctx.p, ideal.q
+    p, q, f, m0 = ideal.ctx.p, ideal.q, ideal.f, ideal.field_modulus
     g = primitive_root(p)
     shift = (1 - g) * ideal.ctx.inv2 % p
+    ratio = pow(g, -k, p)
     points = ideal.w_powers
-    total = 0
-    for a in range(1, p):
+    total = 1 if f == 1 else _ftup((1,), f)
+    a = n = 1
+    for _ in range(p - 1):
         terms = [points[a * (shift + i) % p] for i in range(g)]
-        if ideal.f == 1:
-            value = sum(terms) % q
+        if f == 1:
+            total = total * pow(sum(terms), n, q) % q
         else:
             value = tuple(sum(col) % q for col in zip(*terms))
-        total += pow(pow(a, k, p), -1, p) * residue_symbol(ideal, value)
-    return total % p
+            total = _fmul(total, _fpow(value, n, m0, q, f), m0, q, f)
+        a = a * g % p
+        n = n * ratio % p
+    return residue_symbol(ideal, total)

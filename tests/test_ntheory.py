@@ -44,9 +44,23 @@ STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321
     2039, 2053,  # the primes on each side of 2^11, where lookup ends
     2**64 - 59, 2**64 + 13,  # and of 2^64, where the base sets change
     407521, 299210837, 407521**2,  # primes dividing a base of Sinclair's set
+    # 48781 * 97561, the least strong pseudoprime to 2, 7 and 61 (Jaeschke),
+    # where Sinclair's bases take over, and the primes on each side of 2^32
+    4759123141, 4294967291, 4294967311,
+    # strong pseudoprimes to two of 2, 7 and 61 each, both factors past
+    # the gcd screen: to 2 and 61, to 2 and 7, and to 7 and 61
+    9863461, 19328653, 77594653,
 ))
 def test_is_prime_matches_sympy_at_the_edges(n):
     assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_matches_sympy_on_random_odd_numbers_below_2_32():
+    # the range of Jaeschke's bases 2, 7 and 61
+    rng = random.Random(2**32)
+    for _ in range(20000):
+        n = rng.randrange(2**11, 2**32) | 1
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_is_prime_matches_sympy_on_random_odd_numbers_below_2_64():
@@ -87,6 +101,12 @@ def test_root_of_unity_matches_sympy(n, q):
     first = next(pow(u, cofactor, q) for u in range(1, q)
                  if n_order(pow(u, cofactor, q), q) == n)
     assert w == first
+
+
+def test_root_of_unity_of_order_one_is_one():
+    # the search starts at u = 2, which q = 2 does not have
+    for q in (2, 3, 11, 4294967291):
+        assert root_of_unity(1, q) == 1
 
 
 def test_root_of_unity_rejects_n_not_dividing_q_minus_1():

@@ -11,7 +11,7 @@ from cyclores import cycint, regulab
 from cyclores.cycint import InternalError, cyc_mul, cyc_one, field_ctx, galois, kronecker_mul
 from cyclores.cycunits import unit_minus
 from cyclores.ntheory import factorize, is_prime, multiplicative_order, primes_upto, primitive_root
-from cyclores.powsym import symbol
+from cyclores.powsym import residue_symbol, symbol
 from cyclores.regulab import (
     IrregularPair,
     VandiverWitness,
@@ -238,10 +238,10 @@ def test_odd_transform_matches_direct_sum(ell):
 
 
 def odd_transform_unmirrored(coeffs, count, omega, ell):
-    """_odd_transform with its B chirp walked over all of B_0..B_(m-1)."""
+    """_odd_transform with its B chirp taken over all of B_0..B_(m-1)."""
     m = len(coeffs)
-    chirp_a = [c * z % ell for c, z in zip(coeffs, regulab._chirp(omega, 1, m, ell))]
-    chirp_b = regulab._chirp(pow(omega, -1, ell), 0, m, ell)
+    chirp_a = [c * pow(omega, t * t + t, ell) % ell for t, c in enumerate(coeffs)]
+    chirp_b = [pow(omega, -d * d, ell) for d in range(m)]
     conv = kronecker_mul(chirp_a, chirp_b, 0, 2 * m - 1) + [0]
     s = pow(omega, -m * m, ell)
     return [(x + s * y) % ell for x, y in zip(conv[:count], conv[m:])]
@@ -254,7 +254,8 @@ def test_odd_transform_b_chirp_mirror(ell):
     rng = random.Random(ell + 1)
     for n in (1, 2, 3, 4, 9, 18, 35, 36):
         omega = pow(rng.randrange(2, ell - 1), (ell - 1) // gcd(2 * n, ell - 1), ell)
-        chirp_b = regulab._chirp(pow(omega, -1, ell), 0, n, ell)
+        chirp_b = regulab._chirp(pow(omega, -1, ell), n, ell)
+        assert chirp_b == [pow(omega, -d * d, ell) for d in range(n)]
         s = pow(omega, -n * n, ell)
         assert s in (1, ell - 1)
         assert all(chirp_b[n - d] == s * chirp_b[d] % ell for d in range(1, n)), n
@@ -280,6 +281,28 @@ def test_odd_transform_refuses_outside_its_contract(monkeypatch, ell):
         for count in (n + 1, -1):
             with pytest.raises(ValueError, match="count"):
                 regulab._odd_transform(coeffs, count, ell - 1, ell)
+    # 8^2 = 1 but 8 != +-1 modulo 21: omega^(2m) = 1 is not enough off a
+    # prime; at omega = 2, m = 3 (2^3 = 8) the fold gave [13, 5, 13] for
+    # the direct sum's [7, 5, 7]
+    for coeffs, omega in (([1], 8), ([1, 1, 1], 2)):
+        with pytest.raises(ValueError, match="omega"):
+            regulab._odd_transform(coeffs, len(coeffs), omega, 21)
+
+
+@pytest.mark.parametrize("p", [5, 7, 37, 101])
+def test_odd_transform_at_a_prime_cube(p):
+    # the modulus p^3 with tau = g^(p^2) of order p - 1, so tau^m = -1: the
+    # contract asks only omega^m = +-1, not a prime modulus; m = 2, 18 and
+    # 50 fold cyclically, m = 3 negacyclically
+    ell = p**3
+    tau = pow(primitive_root(p), p * p, ell)
+    m = (p - 1) // 2
+    assert multiplicative_order(tau, p) == p - 1 and pow(tau, m, ell) == ell - 1
+    rng = random.Random(p)
+    coeffs = [rng.randrange(-ell, ell) for _ in range(m)]
+    for count in (0, 1, m):
+        assert regulab._odd_transform(coeffs, count, tau, ell) == odd_transform_direct(
+            coeffs, count, tau, ell), count
 
 
 def mul_mod_schoolbook(a, b, p):
@@ -530,12 +553,24 @@ def test_vandiver_witness_preconditions():
 
 @pytest.mark.parametrize("k, candidates", [(1, 10), (36, 10), (32, 0)])
 def test_vandiver_witness_cheap_checks_come_first(monkeypatch, k, candidates):
-    def no_pairs(p):
-        raise AssertionError("irregular_pairs was called")
+    def no_coeffs(p):
+        raise AssertionError("the Voronoi coefficients were built")
 
-    monkeypatch.setattr(regulab, "irregular_pairs", no_pairs)
+    monkeypatch.setattr(regulab, "_voronoi_coeffs", no_coeffs)
     with pytest.raises(ValueError):
         vandiver_witness(37, k, candidates)
+
+
+def test_vandiver_one_point_check_accepts_exactly_the_irregular_pairs():
+    # Horner at g^(k-1) against the transform over every k
+    for p in primes_upto(500)[2:]:
+        pairs = {pair.k for pair in irregular_pairs(p)}
+        for k in range(2, p - 2, 2):
+            if k in pairs:
+                vandiver_witness(p, k, 1)
+            else:
+                with pytest.raises(ValueError, match="not the index of an irregular pair"):
+                    vandiver_witness(p, k, 1)
 
 
 def test_vandiver_witness_reverifies_independently():
@@ -583,19 +618,52 @@ def test_vandiver_vanishing_is_ideal_independent():
     assert all(v != 0 for v in values)
 
 
+def eigencomponent_symbol_per_conjugate(k, ideal):
+    """sum_a a^(-k) symbol(u(w^a)) mod p, one symbol per conjugate, each
+    residue a sum of g entries of w_powers."""
+    p = ideal.ctx.p
+    g = primitive_root(p)
+    shift = (1 - g) * ideal.ctx.inv2 % p
+    total = 0
+    for a in range(1, p):
+        terms = [ideal.w_powers[a * (shift + i) % p] for i in range(g)]
+        if ideal.f == 1:
+            value = sum(terms) % ideal.q
+        else:
+            value = tuple(sum(col) % ideal.q for col in zip(*terms))
+        total += pow(pow(a, k, p), -1, p) * residue_symbol(ideal, value)
+    return total % p
+
+
+def twist_law_ideals(p):
+    """The ideals above the least q of each residue degree f <= 4 that
+    occurs at p."""
+    ctx = field_ctx(p)
+    for f in (1, 2, 3, 4):
+        if (p - 1) % f == 0:
+            q = next(q for q in range(2, 10**4)
+                     if q != p and is_prime(q) and multiplicative_order(q, p) == f)
+            yield f, split_prime(ctx, q)
+
+
+@pytest.mark.parametrize("p", [37, 59, 67, 101])
+def test_eigencomponent_symbol_matches_per_conjugate_symbols(p):
+    # one symbol of the power product against one symbol per conjugate
+    for _, ideals in twist_law_ideals(p):
+        for pair in irregular_pairs(p):
+            for ideal in ideals:
+                assert eigencomponent_symbol(pair.k, ideal) == eigencomponent_symbol_per_conjugate(
+                    pair.k, ideal), (ideal.q, pair.k, ideal.w)
+
+
 @pytest.mark.parametrize("p", [37, 59, 67, 101])
 def test_eigencomponent_twist_law(p):
     # e_k(sigma_b(I)) = b^(1-k) e_k(I) for every b, at the ideals above the
     # least q of each residue degree f <= 4 that occurs; the control
     # exponent b^(k-1) fails at some nonzero e_k
-    ctx = field_ctx(p)
     control_failed = False
-    for f in (1, 2, 3, 4):
-        if (p - 1) % f:
-            continue
-        q = next(q for q in range(2, 10**4)
-                 if q != p and is_prime(q) and multiplicative_order(q, p) == f)
-        ideals = split_prime(ctx, q)
+    for f, ideals in twist_law_ideals(p):
+        q = ideals[0].q
         for pair in irregular_pairs(p):
             k = pair.k
             e = {ideal.w: eigencomponent_symbol(k, ideal) for ideal in ideals}
