@@ -4,14 +4,16 @@ Exact Bernoulli numbers, irregular pairs from Voronoi's congruence
 modulo p, the relative class number h^- rebuilt by CRT from its
 residues modulo word primes under an exact bound on h^- itself, and
 one-sided witnesses that a cyclotomic-unit eigencomponent is not a
-p-th power.  The irregular pairs and each residue of h^- are values of
-one chirp-z convolution, ``_odd_convolution``, of m = (p-1)/2
-coefficients at an omega with omega^m = +-1: its chirp repeats up to
-sign with period m, so Bluestein's convolution folds to one m x m
-Kronecker product.  Voronoi's polynomial G, whose values at the odd
-powers of g decide the irregular pairs, has one coefficient list
-(``_voronoi_coeffs``): ``irregular_pairs`` transforms it at every k,
-while ``vandiver_witness`` checks its one k by Horner's rule.
+p-th power.  Voronoi's polynomial G has one coefficient list
+(``_voronoi_coeffs``), and it serves all three: its values at the odd
+powers of the least primitive root g decide the irregular pairs, which
+``vandiver_witness`` checks at its one k by Horner's rule, and its
+values at the odd powers of a (p-1)-th root of unity mod a word prime
+give a residue of h^-.  Both sets of values come from one chirp-z
+convolution, ``_odd_convolution``, of m = (p-1)/2 coefficients at an
+omega with omega^m = +-1: its chirp repeats up to sign with period m,
+so Bluestein's convolution folds to one m x m Kronecker product, whose
+halves each caller adds as it reads them.
 
 Every function taking a prime p accepts only odd primes p < P_MAX = 2^20
 (``cycint.check_p``) and raises ValueError otherwise, before it builds
@@ -20,7 +22,7 @@ and ``irregular_pairs`` and ``vandiver_witness`` p < IRREGULAR_P_MAX,
 which ``_voronoi_coeffs`` enforces for both.
 
 A word prime of h^- at p = 2m + 1 is a prime l = 1 (mod p-1) with
-l^2 m < 2^63.  Every digit of its transform's product, a sum of at most
+l^2 m < 2^63.  Every digit of its convolution's product, a sum of at most
 m products of residues below l, then fits in 8 bytes, and every other
 step works on one-digit ints.  Each such l is below 2^32, and so is each
 witness candidate q = mp + 1 with m < 2^32/p: ``is_prime`` proves both
@@ -32,7 +34,7 @@ all-zero result is merely inconclusive and is never reported as a
 failure of Vandiver's conjecture.  The eigencomponent's symbol is one
 power map of one residue, the product of the conjugates' residues each
 raised to its weight, and by its twist law its value at one ideal above
-q decides every ideal above q.
+q decides every ideal above q and gives the value at each of them.
 """
 
 from __future__ import annotations
@@ -63,10 +65,11 @@ __all__ = [
 
 # Exclusive ceiling on the p of h_minus, set by the supply of word primes
 # and by running time.  Below it the word primes cover the CRT bound with
-# room to spare: at p = 4093 it takes 294 and the spare of 3338, while at
-# p = 16381 only 572 exist, all short of the bound.  The time grows like
-# p^2.6 to p^2.7: 0.04 s at p = 1009, 0.24 s at 2039 and 1.5 s at 4093 on
-# a 2-core x86-64 machine (CPython 3.11).
+# room to spare: at p = 4093 it takes 277 and the spare of 3338, while at
+# p = 16381 the 572 that exist fall short of it (13 402 bits against the
+# 36 869 of the bound's square root).  The time grows like p^2.6: 0.034 s
+# at p = 1009, 0.22 s at 2039 and 1.35 s at 4093 on a 2-core x86-64
+# machine (CPython 3.11).
 HMINUS_P_MAX = 1 << 12
 
 # Exclusive ceiling on the p of irregular_pairs, and so of
@@ -129,17 +132,20 @@ def irregular_pairs(p: int) -> list[IrregularPair]:
     floor((p-j)g/p) = g - 1 - floor(jg/p) and (p-j)^(k-1) = -j^(k-1):
     over j = g^i mod p, i < m = (p-1)/2, it is G(g^(k-1)) with G from
     ``_voronoi_coeffs``.  With k - 1 = 2k' + 1, k' < m - 1, one
-    ``_odd_transform`` gives them all.
+    ``_odd_convolution`` at omega = g, folded, gives them all.
     """
     g, coeffs = _voronoi_coeffs(p)
-    values = _odd_transform(coeffs, (p - 3) // 2, g, p)
-    return [IrregularPair(p, 2 * k + 2) for k, v in enumerate(values) if v == 0]
+    conv, s = _odd_convolution(coeffs, g, p)
+    m = len(coeffs)
+    return [IrregularPair(p, 2 * k + 2)
+            for k, (x, y) in enumerate(zip(conv[:m - 1], conv[m:])) if (x + s * y) % p == 0]
 
 
 def _voronoi_coeffs(p: int) -> tuple[int, list[int]]:
     """g, the least primitive root, and the coefficients
     c_i = 2 floor(g (g^i mod p)/p) - g + 1, i < (p-1)/2, of Voronoi's G:
-    p | B_k iff G(g^(k-1)) = 0 (mod p) for even k in [2, p-3].
+    p | B_k iff G(g^(k-1)) = 0 (mod p) for even k in [2, p-3], and
+    ``h_minus`` reads h^- off G too.
 
     ValueError unless p is an odd prime below IRREGULAR_P_MAX, before
     any table is built.
@@ -154,43 +160,60 @@ def _voronoi_coeffs(p: int) -> tuple[int, list[int]]:
 def h_minus(p: int) -> int:
     """Relative class number h^- of the p-th cyclotomic field, exactly.
 
-    With m = (p-1)/2, g the least primitive root and
-    G(T) = sum_{t<m} c_t T^t, c_t = 2*(g^t mod p) - p, the analytic class
-    number formula h^- = 2p * prod over odd characters chi of
-    (-B_{1,chi}/2) reads h^- = (-1)^m * P / (2p)^(m-1) with the rational
-    integer P = prod_{j odd} G(omega^j), omega a primitive (p-1)-th root
-    of unity (Washington, Introduction to Cyclotomic Fields, Thm 4.17).
+    With m = (p-1)/2, g the least primitive root and a_t = g^t mod p, the
+    analytic class number formula h^- = 2p * prod over odd characters chi
+    of (-B_{1,chi}/2) reads h^- = (-1)^m * P / (2p)^(m-1) with the
+    rational integer P = prod_{j odd} G_h(omega^j), where
+    G_h(T) = sum_{t<m} (2 a_t - p) T^t and omega is a primitive (p-1)-th
+    root of unity (Washington, Introduction to Cyclotomic Fields,
+    Thm 4.17).  The m points omega^j, j odd, are the roots r of T^m = -1.
 
-    P is evaluated modulo the word primes l = 1 (mod p-1), l^2 m < 2^63,
+    Voronoi's G = sum_{t<m} c_t T^t of ``_voronoi_coeffs``,
+    c_t = 2 floor(g a_t/p) - g + 1, serves instead (Buhler, Crandall,
+    Ernvall and Metsankyla, Math. Comp. 61 (1993)).  As
+    g a_t = p floor(g a_t/p) + a_(t+1) and a_m = p - 1,
+    p G(T) = (g - 1/T) G_h(T) wherever T^m = -1; over those roots
+    prod (g - r) = g^m + 1, so with Q = prod_{j odd} G(omega^j) and the
+    integer t = (g^m + 1)/p, h^- = (-1)^m Q / (2^(m-1) t).
+
+    Q is evaluated modulo the word primes l = 1 (mod p-1), l^2 m < 2^63,
     taken downward from the largest (``_word_primes``), so each digit of
-    a transform's packed product is 8 bytes.  Each residue is turned
-    into h^- mod l; CRT rebuilds h^- itself, never P.  It stops
-    once modulus^2 > S^m // (2p)^(2m-2), S = sum_t c_t^2.  That bound on
-    (h^-)^2 is exact: the m points omega^j, j odd, are the roots of
-    T^m = -1, so by Parseval over them (deg G < m) the |G(omega^j)|^2
-    sum to m*S, and AM-GM gives P^2 <= S^m.  Hence modulus > h^- and the
-    least nonnegative CRT value is h^-.  One spare prime guards the
-    evaluation: its residue must match the value, which must be
-    positive, or InternalError is raised.
+    a convolution's packed product is 8 bytes.  A word prime l dividing t
+    (g^m = -1 mod l) cannot invert the scale 2^(m-1) t and is skipped.
+    Each residue is turned into h^- mod l; CRT rebuilds h^- itself, never
+    Q.  It stops once modulus^2 > S^m // (4^(m-1) t^2), S = sum_t c_t^2.
+    That bound on (h^-)^2 is exact: by Parseval over the m roots of
+    T^m = -1 (deg G < m) the |G(omega^j)|^2 sum to m*S, and AM-GM gives
+    Q^2 <= S^m.  Hence modulus > h^- and the least nonnegative CRT value
+    is h^-.  One spare prime guards the evaluation: its residue must
+    match the value, which must be positive, or InternalError is raised.
 
     p must be below HMINUS_P_MAX, or ValueError is raised first.
     """
     check_p(p)
     if p >= HMINUS_P_MAX:
         raise ValueError(f"h_minus needs p < {HMINUS_P_MAX}")
+    g, coeffs = _voronoi_coeffs(p)
     n = p - 1
     m = n // 2
-    coeffs = [2 * a - p for a in _powers(primitive_root(p), m, lambda a, b: a * b % p)]
-    bound = sum(c * c for c in coeffs) ** m // (2 * p) ** (2 * m - 2)
-    scale = (-1) ** m * (2 * p) ** (m - 1)
+    t = (g**m + 1) // p
+    bound = sum(c * c for c in coeffs) ** m // (4 ** (m - 1) * t * t)
+    scale = (-1) ** m * (1 << (m - 1)) * t
     value, modulus = 0, 1
     for ell in _word_primes(n):
-        r = _odd_character_product(coeffs, n, ell) * pow(scale, -1, ell) % ell
+        if t % ell == 0:  # g^m = -1 (mod ell): the scale is not a unit
+            continue
+        omega = root_of_unity(n, ell)
+        # the folded values are G(omega^(2k+1)) omega^(-k^2): restore omega^(sum k^2)
+        r = pow(omega, (m - 1) * m * (2 * m - 1) // 6 % n, ell) * pow(scale, -1, ell) % ell
+        conv, s = _odd_convolution(coeffs, omega, ell)
+        for x, y in zip(conv, conv[m:]):
+            r = r * (x + s * y) % ell
         if modulus * modulus > bound:
             break
         # Garner step: keep value = h^- mod modulus, 0 <= value < modulus
-        t = (r - value) * pow(modulus % ell, -1, ell) % ell
-        value += modulus * t
+        step = (r - value) * pow(modulus % ell, -1, ell) % ell
+        value += modulus * step
         modulus *= ell
     if r != value % ell or value <= 0:
         raise InternalError(f"h^-({p}) evaluation failed its spare-prime check")
@@ -206,32 +229,6 @@ def _word_primes(n: int) -> Iterator[int]:
             yield ell
         ell -= n
     raise InternalError(f"no word prime = 1 (mod {n}) is left")
-
-
-def _odd_character_product(coeffs: list[int], n: int, ell: int) -> int:
-    """prod_{k<m} G(omega^(2k+1)) mod ell, omega of order n in F_ell: the
-    transform's values times omega^(sum_{k<m} k^2)."""
-    m = len(coeffs)
-    omega = root_of_unity(n, ell)
-    total = pow(omega, (m - 1) * m * (2 * m - 1) // 6 % n, ell)
-    conv, s = _odd_convolution(coeffs, omega, ell)
-    for x, y in zip(conv, conv[m:]):
-        total = total * (x + s * y) % ell
-    return total
-
-
-def _odd_transform(coeffs: list[int], count: int, omega: int, ell: int) -> list[int]:
-    """G(omega^(2k+1)) * omega^(-k^2) mod ell for k < count, where
-    G(T) = sum_t coeffs[t] T^t, from ``_odd_convolution``'s fold.
-
-    ValueError unless 0 <= count <= len(coeffs) and omega meets
-    ``_odd_convolution``'s contract, before any chirp is built.
-    """
-    m = len(coeffs)
-    if not 0 <= count <= m:
-        raise ValueError(f"count must be in [0, {m}]")
-    conv, s = _odd_convolution(coeffs, omega, ell)
-    return [(x + s * y) % ell for x, y in zip(conv[:count], conv[m:])]
 
 
 def _odd_convolution(coeffs: list[int], omega: int, ell: int) -> tuple[list[int], int]:
@@ -252,8 +249,8 @@ def _odd_convolution(coeffs: list[int], omega: int, ell: int) -> tuple[list[int]
     is one Kronecker-packed m x m integer product, and the fold is cyclic
     for s = 1 (m even or omega^m = 1) and negacyclic for s = -1.  A digit
     of L sums at most m products of residues below ell, so it fits 8
-    bytes where ell^2 m < 2^63.  ValueError outside the contract, before
-    any chirp is built.
+    bytes where ell^2 m < 2^63.  Each caller folds L as it reads it.
+    ValueError outside the contract, before any chirp is built.
     """
     m = len(coeffs)
     half = pow(omega, m, ell)
@@ -266,21 +263,16 @@ def _odd_convolution(coeffs: list[int], omega: int, ell: int) -> tuple[list[int]
         chirp_a.append(c * z % ell)
         z = z * step % ell
         step = step * omega2 % ell
-    chirp_b = _chirp(pow(omega, -1, ell), m // 2 + 1, ell)
+    inv = pow(omega, -1, ell)
+    inv2 = inv * inv % ell
+    chirp_b, z, step = [], 1, inv
+    for _ in range(m // 2 + 1):  # z = omega^(-d^2), by the ratios omega^(-2d-1)
+        chirp_b.append(z)
+        z = z * step % ell
+        step = step * inv2 % ell
     mirror = chirp_b[(m - 1) // 2:0:-1]
     chirp_b += mirror if s == 1 else [ell - b for b in mirror]
     return kronecker_mul(chirp_a, chirp_b, 0, 2 * m - 1) + [0], s
-
-
-def _chirp(omega: int, count: int, ell: int) -> list[int]:
-    """omega^(d^2) mod ell for d < count, by the ratios omega^(2d+1)."""
-    omega2 = omega * omega % ell
-    out, cur, step = [], 1, omega
-    for _ in range(count):
-        out.append(cur)
-        cur = cur * step % ell
-        step = step * omega2 % ell
-    return out
 
 
 def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | None:
@@ -288,14 +280,19 @@ def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | Non
 
     (p, k) must be an irregular pair, which is checked at k alone: one
     Horner evaluation of Voronoi's G (``_voronoi_coeffs``) at g^(k-1) mod
-    p, which vanishes iff p | B_k, with no transform over every k.  Then
-    :func:`eigencomponent_symbol` is evaluated at the first ideal above
-    each candidate q, which decides q by the twist law: the degree-1
-    ideal of the least p-th root of unity w mod q, built alone, as q is
-    not split.  Returns the first (q, ideal) certificate with e != 0, or
-    None if every candidate yields 0 (inconclusive).  The checks on k and
-    q_candidates that need no Bernoulli data come before
-    ``_voronoi_coeffs``, which refuses p >= IRREGULAR_P_MAX.
+    p, which vanishes iff p | B_k, with no convolution over every k.
+    Then :func:`eigencomponent_symbol` is evaluated once per candidate q,
+    at the degree-1 ideal I0 of the p-th root of unity w0 that
+    ``root_of_unity`` finds mod q, built alone, as q is not split.  The
+    certificate names ``split_prime``'s first ideal, that of the least
+    root w = w0^j, read off I0's own ``w_powers`` with no second walk of
+    the roots.  That ideal is ``galois_image``(I0, 1/j), so by the twist
+    law (see :func:`eigencomponent_symbol`) its e is j^(k-1) e_k(I0)
+    mod p, nonzero iff e_k(I0) is.  Returns the first (q, w, e)
+    certificate with e != 0, or None if every candidate yields 0
+    (inconclusive).  The checks on k and q_candidates that need no
+    Bernoulli data come before ``_voronoi_coeffs``, which refuses
+    p >= IRREGULAR_P_MAX.
     """
     check_p(p)
     if k % 2 or not 2 <= k <= p - 3:
@@ -317,12 +314,13 @@ def vandiver_witness(p: int, k: int, q_candidates: int) -> VandiverWitness | Non
         if not is_prime(q):
             continue
         seen += 1
-        # q = 1 (mod p) has f = 1: its least root names split_prime's first ideal
-        w = min(_powers(root_of_unity(p, q), p, lambda a, b: a * b % q)[1:])
-        ideal = ideal_from_root(ctx, q, w)
+        # q = 1 (mod p) has f = 1; e_k moves to the least root's ideal by the twist law
+        ideal = ideal_from_root(ctx, q, root_of_unity(p, q))
         e = eigencomponent_symbol(k, ideal)
         if e:
-            return VandiverWitness(IrregularPair(p, k), q, ideal.w, e)
+            roots = ideal.w_powers
+            j = min(range(1, p), key=roots.__getitem__)
+            return VandiverWitness(IrregularPair(p, k), q, roots[j], pow(j, k - 1, p) * e % p)
     return None
 
 

@@ -10,7 +10,15 @@ import pytest
 from cyclores import cycint, regulab
 from cyclores.cycint import InternalError, cyc_mul, cyc_one, field_ctx, galois, kronecker_mul
 from cyclores.cycunits import unit_minus
-from cyclores.ntheory import factorize, is_prime, multiplicative_order, primes_upto, primitive_root
+from cyclores.ntheory import (
+    factorize,
+    is_prime,
+    multiplicative_order,
+    primes_upto,
+    primitive_root,
+    root_of_unity,
+    valuation,
+)
 from cyclores.powsym import residue_symbol, symbol
 from cyclores.regulab import (
     IrregularPair,
@@ -116,6 +124,13 @@ def mul_mod(a, b, p, lo, hi):
     return [c % p for c in kronecker_mul(a, b, lo, hi)]
 
 
+def odd_transform(coeffs, count, omega, ell):
+    """G(omega^(2k+1)) * omega^(-k^2) mod ell for k < count, G(T) =
+    sum_t coeffs[t] T^t: ``_odd_convolution``'s L folded by its s."""
+    conv, s = regulab._odd_convolution(coeffs, omega, ell)
+    return [(x + s * y) % ell for x, y in zip(conv[:count], conv[len(coeffs):])]
+
+
 def odd_transform_direct(coeffs, count, omega, ell):
     """G(omega^(2k+1)) * omega^(-k^2) mod ell, term by term."""
     out = []
@@ -127,15 +142,56 @@ def odd_transform_direct(coeffs, count, omega, ell):
 
 
 def odd_character_coeffs(p):
-    """c_t = 2*(g^t mod p) - p for t < (p-1)/2, g the least primitive root."""
+    """G_h's c_t = 2*(g^t mod p) - p for t < (p-1)/2, g the least
+    primitive root: p B_{1,chi} = G_h(chi(g)) for odd chi."""
     g = primitive_root(p)
     return [2 * pow(g, t, p) - p for t in range((p - 1) // 2)]
 
 
+def odd_character_product(coeffs, n, ell):
+    """prod_{k<m} G(omega^(2k+1)) mod ell, omega of order n in F_ell: the
+    folded values times omega^(sum_{k<m} k^2)."""
+    m = len(coeffs)
+    omega = root_of_unity(n, ell)
+    total = pow(omega, (m - 1) * m * (2 * m - 1) // 6 % n, ell)
+    for v in odd_transform(coeffs, m, omega, ell):
+        total = total * v % ell
+    return total
+
+
 def parseval_bound(p):
-    """S^m // (2p)^(2m-2), S = sum_t c_t^2: h_minus's bound on (h^-)^2."""
+    """S^m // (2p)^(2m-2), S = sum_t c_t^2 over G_h: a bound on (h^-)^2."""
     m = (p - 1) // 2
     return sum(c * c for c in odd_character_coeffs(p)) ** m // (2 * p) ** (2 * m - 2)
+
+
+def voronoi_bound(p):
+    """S^m // (4^(m-1) t^2), S = sum_t c_t^2 over Voronoi's
+    c_t = 2 floor(g (g^t mod p)/p) - g + 1 and t = (g^m + 1)/p:
+    h_minus's bound on (h^-)^2."""
+    g = primitive_root(p)
+    m = (p - 1) // 2
+    t = (g**m + 1) // p
+    s = sum((2 * (g * pow(g, i, p) // p) - g + 1) ** 2 for i in range(m))
+    return s**m // (4 ** (m - 1) * t * t)
+
+
+def h_minus_by_g_h(p):
+    """h^- by CRT of P = prod_{j odd} G_h(omega^j) over the word primes,
+    scaled by (-1)^m (2p)^(m-1), against ``parseval_bound``."""
+    n = p - 1
+    m = n // 2
+    coeffs = odd_character_coeffs(p)
+    bound = parseval_bound(p)
+    scale = (-1) ** m * (2 * p) ** (m - 1)
+    value, modulus = 0, 1
+    ells = regulab._word_primes(n)
+    while modulus * modulus <= bound:
+        ell = next(ells)
+        r = odd_character_product(coeffs, n, ell) * pow(scale, -1, ell) % ell
+        value += modulus * ((r - value) * pow(modulus, -1, ell) % ell)
+        modulus *= ell
+    return value
 
 
 def h_minus_full_product(p):
@@ -147,7 +203,7 @@ def h_minus_full_product(p):
     bound = 2 * sum(map(abs, coeffs)) ** m
     value, modulus = 0, 1
     for ell in primes_one_mod(n, 1 << 40, bound.bit_length() // 40 + 1):
-        r = regulab._odd_character_product(coeffs, n, ell)
+        r = odd_character_product(coeffs, n, ell)
         value += modulus * ((r - value) * pow(modulus, -1, ell) % ell)
         modulus *= ell
     assert modulus > bound
@@ -221,7 +277,7 @@ def test_irregular_pairs_match_newton_bernoulli():
 # of h_minus(37), at the edge of the 8-byte digits: 18 (l-1)^2 < 2^63
 @pytest.mark.parametrize("ell", [37, 4611686018427387847, 715827817])
 def test_odd_transform_matches_direct_sum(ell):
-    # omega^(2m) = 1 is the transform's contract, so omega is drawn from
+    # omega^(2m) = 1 is the convolution's contract, so omega is drawn from
     # the roots of order dividing gcd(2m, l-1); m = 1, 7 fold
     # negacyclically where omega^m = -1, m = 2, 18 always cyclically
     rng = random.Random(ell)
@@ -229,16 +285,16 @@ def test_odd_transform_matches_direct_sum(ell):
         coeffs = [rng.randrange(-ell, ell) for _ in range(n)]
         omega = pow(rng.randrange(2, ell - 1), (ell - 1) // gcd(2 * n, ell - 1), ell)
         for count in (0, 1, n - 1, n):
-            assert regulab._odd_transform(coeffs, count, omega, ell) == odd_transform_direct(
+            assert odd_transform(coeffs, count, omega, ell) == odd_transform_direct(
                 coeffs, count, omega, ell), (n, count)
     for n in (18, 17):  # every chirp product at its largest; 17 folds negacyclically
         extremes = [ell - 1] * n
-        assert regulab._odd_transform(extremes, n, ell - 1, ell) == odd_transform_direct(
+        assert odd_transform(extremes, n, ell - 1, ell) == odd_transform_direct(
             extremes, n, ell - 1, ell)
 
 
 def odd_transform_unmirrored(coeffs, count, omega, ell):
-    """_odd_transform with its B chirp taken over all of B_0..B_(m-1)."""
+    """``odd_transform`` with its B chirp taken over all of B_0..B_(m-1)."""
     m = len(coeffs)
     chirp_a = [c * pow(omega, t * t + t, ell) % ell for t, c in enumerate(coeffs)]
     chirp_b = [pow(omega, -d * d, ell) for d in range(m)]
@@ -249,27 +305,26 @@ def odd_transform_unmirrored(coeffs, count, omega, ell):
 
 @pytest.mark.parametrize("ell", [37, 4611686018427387847, 715827817])
 def test_odd_transform_b_chirp_mirror(ell):
-    # B_(m-d) = s B_d with s = omega^(-m^2) = +-1, which the transform
+    # B_(m-d) = s B_d with s = omega^(-m^2) = +-1, which the convolution
     # uses to walk only half of B; m = 1 and 2 have no mirrored entry
     rng = random.Random(ell + 1)
     for n in (1, 2, 3, 4, 9, 18, 35, 36):
         omega = pow(rng.randrange(2, ell - 1), (ell - 1) // gcd(2 * n, ell - 1), ell)
-        chirp_b = regulab._chirp(pow(omega, -1, ell), n, ell)
-        assert chirp_b == [pow(omega, -d * d, ell) for d in range(n)]
+        chirp_b = [pow(omega, -d * d, ell) for d in range(n)]
         s = pow(omega, -n * n, ell)
         assert s in (1, ell - 1)
         assert all(chirp_b[n - d] == s * chirp_b[d] % ell for d in range(1, n)), n
         coeffs = [rng.randrange(ell) for _ in range(n)]
-        assert regulab._odd_transform(coeffs, n, omega, ell) == odd_transform_unmirrored(
+        assert odd_transform(coeffs, n, omega, ell) == odd_transform_unmirrored(
             coeffs, n, omega, ell), n
 
 
 @pytest.mark.parametrize("ell", [37, 4611686018427387847, 715827817])
 def test_odd_transform_refuses_outside_its_contract(monkeypatch, ell):
-    def no_chirp(*args):
-        raise AssertionError("a chirp was built")
+    def no_product(*args):
+        raise AssertionError("a chirp product was taken")
 
-    monkeypatch.setattr(regulab, "_chirp", no_chirp)
+    monkeypatch.setattr(regulab, "kronecker_mul", no_product)
     rng = random.Random(ell)
     for n in (1, 2, 7):
         coeffs = [rng.randrange(ell) for _ in range(n)]
@@ -277,16 +332,13 @@ def test_odd_transform_refuses_outside_its_contract(monkeypatch, ell):
         while pow(omega, 2 * n, ell) == 1:
             omega = rng.randrange(2, ell - 1)
         with pytest.raises(ValueError, match="omega"):
-            regulab._odd_transform(coeffs, n, omega, ell)
-        for count in (n + 1, -1):
-            with pytest.raises(ValueError, match="count"):
-                regulab._odd_transform(coeffs, count, ell - 1, ell)
+            regulab._odd_convolution(coeffs, omega, ell)
     # 8^2 = 1 but 8 != +-1 modulo 21: omega^(2m) = 1 is not enough off a
     # prime; at omega = 2, m = 3 (2^3 = 8) the fold gave [13, 5, 13] for
     # the direct sum's [7, 5, 7]
     for coeffs, omega in (([1], 8), ([1, 1, 1], 2)):
         with pytest.raises(ValueError, match="omega"):
-            regulab._odd_transform(coeffs, len(coeffs), omega, 21)
+            regulab._odd_convolution(coeffs, omega, 21)
 
 
 @pytest.mark.parametrize("p", [5, 7, 37, 101])
@@ -301,8 +353,23 @@ def test_odd_transform_at_a_prime_cube(p):
     rng = random.Random(p)
     coeffs = [rng.randrange(-ell, ell) for _ in range(m)]
     for count in (0, 1, m):
-        assert regulab._odd_transform(coeffs, count, tau, ell) == odd_transform_direct(
+        assert odd_transform(coeffs, count, tau, ell) == odd_transform_direct(
             coeffs, count, tau, ell), count
+
+
+def test_irregular_pairs_match_g_h_at_a_prime_cube():
+    # a fourth route to the pairs: p B_{1,omega^(k-1)} = G_h(tau^(k-1))
+    # (mod p^3) with tau = g^(p^2), the Teichmuller lift of g, and
+    # B_{1,omega^(k-1)} = B_k/k (mod p) (Washington, Cor. 5.15); so p^2
+    # divides the value exactly at the irregular k, and p^3 divides none
+    # where no B_{1,omega^(k-1)} is 0 mod p^2
+    for p in primes_upto(2500)[2:]:
+        ell, m = p**3, (p - 1) // 2
+        tau = pow(primitive_root(p), p * p, ell)
+        values = odd_transform(odd_character_coeffs(p), m - 1, tau, ell)
+        assert [2 * k + 2 for k, v in enumerate(values) if v % (p * p) == 0] == [
+            pair.k for pair in irregular_pairs(p)], p
+        assert all(values), p
 
 
 def mul_mod_schoolbook(a, b, p):
@@ -363,7 +430,37 @@ def test_h_minus_matches_full_product_reconstruction():
 
 def test_h_minus_within_parseval_bound():
     for p in primes_upto(467)[1:]:
-        assert h_minus(p) ** 2 <= parseval_bound(p), p
+        assert h_minus(p) ** 2 <= min(parseval_bound(p), voronoi_bound(p)), p
+
+
+def test_h_minus_p_part_is_the_index_of_irregularity():
+    # v_p(h^-) = sum over even k of v_p(B_{1,omega^(k-1)}), which is the
+    # index of irregularity where no B_{1,omega^(k-1)} is 0 mod p^2, as at
+    # every p below 4100 (Washington, Thm 4.17 and Cor. 5.15)
+    for p in primes_upto(800)[1:]:
+        assert valuation(h_minus(p), p)[0] == len(irregular_pairs(p)), p
+
+
+@pytest.mark.parametrize("p", [2153, 4079])
+def test_h_minus_skips_a_word_prime_dividing_its_scale(monkeypatch, p):
+    # a word prime l that h_minus walks past has g^m = -1 (mod l), so the
+    # scale 2^(m-1) (g^m + 1)/p is no unit mod l: h_minus convolves every
+    # other prime it walks, and its h^- still equals the G_h oracle's
+    n, m = p - 1, (p - 1) // 2
+    g = primitive_root(p)
+    real = regulab._odd_convolution
+    ells = []
+
+    def spy(coeffs, omega, ell):
+        ells.append(ell)
+        return real(coeffs, omega, ell)
+
+    monkeypatch.setattr(regulab, "_odd_convolution", spy)
+    h = h_minus(p)
+    walked = list(itertools.takewhile(lambda ell: ell >= ells[-1], regulab._word_primes(n)))
+    skipped = [ell for ell in walked if pow(g, m, ell) == ell - 1]
+    assert len(skipped) == 1 and ells == [ell for ell in walked if ell not in skipped]
+    assert h == h_minus_by_g_h(p)
 
 
 def test_h_minus_packs_word_digits(monkeypatch):
@@ -385,16 +482,21 @@ def test_h_minus_packs_word_digits(monkeypatch):
 
 @pytest.mark.parametrize("p", [4093, 4091, 4079])  # the largest below HMINUS_P_MAX
 def test_h_minus_word_primes_cover_the_bound(p):
+    # the primes with g^m = -1 (mod l) are skipped; 4093 walks 277 and the spare
     n = p - 1
     m = n // 2
-    bound = parseval_bound(p)
+    g = primitive_root(p)
+    bound = voronoi_bound(p)
     ells = regulab._word_primes(n)
-    modulus = 1
+    modulus, used = 1, 0
     while modulus * modulus <= bound:
         ell = next(ells)
         assert ell % n == 1 and ell * ell * m < 1 << 63 and is_prime(ell)
-        modulus *= ell
+        if pow(g, m, ell) != ell - 1:
+            modulus *= ell
+            used += 1
     assert next(ells) < ell  # the spare
+    assert p != 4093 or used == 277
 
 
 def test_word_primes_run_out_with_internal_error():
@@ -409,7 +511,7 @@ def test_word_primes_run_out_with_internal_error():
     assert len(ells) == 572
     assert ells == sorted(ells, reverse=True) and ells[-1] > n
     assert all(ell % n == 1 and ell * ell * m < 1 << 63 for ell in ells)
-    assert prod(ells) ** 2 <= parseval_bound(p)
+    assert prod(ells) ** 2 <= voronoi_bound(p)
 
 
 def test_h_minus_refused_at_its_ceiling_before_any_table(monkeypatch):
@@ -438,22 +540,24 @@ def test_irregular_pairs_refused_at_their_ceiling_before_any_table(monkeypatch):
 
 @pytest.mark.parametrize("wrong_call", ["first", "spare"])
 def test_h_minus_spare_prime_catches_a_wrong_residue(monkeypatch, wrong_call):
-    exact = regulab._odd_character_product
+    exact = regulab._odd_convolution
     ells = []
 
-    def spy(coeffs, n, ell):
+    def spy(coeffs, omega, ell):
         ells.append(ell)
-        return exact(coeffs, n, ell)
+        return exact(coeffs, omega, ell)
 
-    monkeypatch.setattr(regulab, "_odd_character_product", spy)
+    monkeypatch.setattr(regulab, "_odd_convolution", spy)
     assert h_minus(101) == H_MINUS_A000927[101]
     bad_ell = ells[0] if wrong_call == "first" else ells[-1]
 
-    def corrupt(coeffs, n, ell):
-        r = exact(coeffs, n, ell)
-        return (r + 1) % ell if ell == bad_ell else r
+    def corrupt(coeffs, omega, ell):
+        conv, s = exact(coeffs, omega, ell)
+        if ell == bad_ell:
+            conv[0] += 1
+        return conv, s
 
-    monkeypatch.setattr(regulab, "_odd_character_product", corrupt)
+    monkeypatch.setattr(regulab, "_odd_convolution", corrupt)
     with pytest.raises(InternalError):
         h_minus(101)
 
